@@ -3,8 +3,8 @@
 //!
 //! Times the simulator's round loop end-to-end (topology build + channel
 //! realisation + `rounds` TXOP rounds, CAS and MIDAS back to back) at several
-//! scales under both fading engines and writes `BENCH_round_pipeline.json`
-//! at the **repo root** so the numbers are diffable PR-over-PR:
+//! scales and writes `BENCH_round_pipeline.json` at the **repo root** so the
+//! numbers are diffable PR-over-PR:
 //!
 //! * `fig16_8ap` — the paper's 8-AP end-to-end workload (binary graph).
 //! * `fig16_8ap_svc` — the same workload dispatched through the `midas-svc`
@@ -14,26 +14,24 @@
 //! * `enterprise_64ap` — the 64-AP / 512-client enterprise_office floor
 //!   (finite interaction range, indexed scans) — the acceptance workload.
 //! * `enterprise_256ap` — a beyond-ROADMAP 256-AP / 2048-client point.
-//! * `*_counter` — the same three workloads under `FadingEngine::Counter`
-//!   (counter-keyed lazy evolution; the A cells above are the legacy B side).
-//! * `metro_1024ap` — a 1024-AP / 8192-client counter-engine point, only
-//!   tractable because lazy evolution never materialises the quadratic
-//!   share of out-of-range fading state per boundary.
-//! * `mobility_64ap` / `mobility_64ap_off` — the 64-AP counter-engine
-//!   workload with the long-horizon dynamics layer on
+//! * `metro_1024ap` — a 1024-AP / 8192-client point, only tractable
+//!   because lazy evolution never materialises the quadratic share of
+//!   out-of-range fading state per boundary.
+//! * `mobility_64ap` / `mobility_64ap_off` — the 64-AP workload with the
+//!   long-horizon dynamics layer on
 //!   (`DynamicsSpec::roaming_walk`: every client random-waypoint walking +
 //!   antenna-aware roaming per round) and its dynamics-off twin, identical
 //!   in every other knob — their interleaved A/B difference is the
 //!   per-round cost of the dynamics stage.
 //!
 //! Repetitions are **interleaved round-robin across cells** (rep 1 of every
-//! cell, then rep 2, …) so legacy/counter pairs of the same workload are
-//! timed A/B within one binary and one machine state — thermal drift and
-//! cache warm-up land evenly on both sides.  Each cell reports the
-//! per-repetition wall-clock median plus a 95 % normal-approximation
-//! confidence interval on the mean, following the measured-claims
-//! discipline (accept a speedup only when the A/B CIs do not overlap;
-//! record negative results).
+//! cell, then rep 2, …) so A/B pairs of the same workload (`fig16_8ap` vs
+//! `fig16_8ap_svc`, `mobility_64ap` vs `mobility_64ap_off`) are timed within
+//! one binary and one machine state — thermal drift and cache warm-up land
+//! evenly on both sides.  Each cell reports the per-repetition wall-clock
+//! median plus a 95 % normal-approximation confidence interval on the
+//! mean, following the measured-claims discipline (accept a speedup only
+//! when the A/B CIs do not overlap; record negative results).
 //!
 //! Knobs (CI smoke + quick local iterations):
 //! * `MIDAS_PIPELINE_CELLS` — comma-separated cell names (default: all of
@@ -48,15 +46,13 @@
 //!   flat hot loop (one long simulation, no timing machinery in the way) so
 //!   `perf record --call-graph dwarf` / `flamegraph` see clean stacks, and
 //!   prints the per-stage wall-clock breakdown (`StageTimings`);
-//!   `MIDAS_PIPELINE_PROFILE_ROUNDS` (default 400) sets the round count,
-//!   `MIDAS_PIPELINE_ENGINE` (`legacy`/`counter`, default by cell name)
-//!   the fading engine, and `MIDAS_PIPELINE_COHERENCE` (default 1) the
-//!   coherence interval in rounds (> 1 caches channel realisations —
-//!   opt-in, changes outputs; handy for A/B-profiling the evolve stage).
+//!   `MIDAS_PIPELINE_PROFILE_ROUNDS` (default 400) sets the round count
+//!   and `MIDAS_PIPELINE_COHERENCE` (default 1) the coherence interval in
+//!   rounds (> 1 caches channel realisations — opt-in, changes outputs;
+//!   handy for A/B-profiling the evolve stage).
 
-use midas::experiment::{end_to_end_series_with_engine, enterprise_scaling_with_engine};
+use midas::experiment::{end_to_end_series, enterprise_scaling};
 use midas_bench::{Cell, Figure, Table, BENCH_SEED};
-use midas_channel::FadingEngine;
 use midas_net::capture::ContentionModel;
 use midas_net::dynamics::DynamicsSpec;
 use midas_net::metrics::Cdf;
@@ -92,15 +88,7 @@ struct PipelineCell {
     clients: usize,
     topologies: usize,
     rounds: usize,
-    engine: FadingEngine,
     run: Box<dyn Fn() -> f64>,
-}
-
-fn engine_label(engine: FadingEngine) -> &'static str {
-    match engine {
-        FadingEngine::Legacy => "legacy",
-        FadingEngine::Counter => "counter",
-    }
 }
 
 fn cell_by_name(
@@ -108,7 +96,7 @@ fn cell_by_name(
     topologies_override: Option<usize>,
     rounds: usize,
 ) -> Option<PipelineCell> {
-    let fig16 = |name, engine, default_topologies| {
+    let fig16 = |name, default_topologies| {
         let topologies = topologies_override.unwrap_or(default_topologies).max(1);
         PipelineCell {
             name,
@@ -116,21 +104,14 @@ fn cell_by_name(
             clients: 32,
             topologies,
             rounds,
-            engine,
             run: Box::new(move || {
-                let s = end_to_end_series_with_engine(
-                    true,
-                    topologies,
-                    rounds,
-                    BENCH_SEED,
-                    ContentionModel::Graph,
-                    engine,
-                );
+                let s =
+                    end_to_end_series(true, topologies, rounds, BENCH_SEED, ContentionModel::Graph);
                 s.network.cas.iter().sum::<f64>() + s.network.das.iter().sum::<f64>()
             }),
         }
     };
-    let enterprise = |name, aps: usize, engine, default_topologies| {
+    let enterprise = |name, aps: usize, default_topologies| {
         let topologies = topologies_override.unwrap_or(default_topologies).max(1);
         PipelineCell {
             name,
@@ -138,14 +119,12 @@ fn cell_by_name(
             clients: aps * 8,
             topologies,
             rounds,
-            engine,
             run: Box::new(move || {
-                let s = enterprise_scaling_with_engine(
+                let s = enterprise_scaling(
                     &Scenario::enterprise_office(aps),
                     topologies,
                     rounds,
                     BENCH_SEED,
-                    engine,
                 );
                 s.cas.iter().sum::<f64>() + s.das.iter().sum::<f64>()
             }),
@@ -166,7 +145,6 @@ fn cell_by_name(
             clients: 32,
             topologies,
             rounds,
-            engine: FadingEngine::Legacy,
             run: Box::new(move || {
                 use std::sync::atomic::{AtomicUsize, Ordering};
                 static REP: AtomicUsize = AtomicUsize::new(0);
@@ -183,8 +161,7 @@ fn cell_by_name(
             }),
         }
     };
-    // The dynamics A/B pair: the 64-AP counter-engine workload with the
-    // dynamics layer on (roaming walkers) and its off twin.  Both run the
+    // The dynamics A/B pair: the 64-AP workload with the dynamics layer on (roaming walkers) and its off twin.  Both run the
     // simulator directly so the only difference between the cells is
     // `config.dynamics` — the interleaved median gap is the dynamics tax.
     let mobility = |name, dynamics: Option<DynamicsSpec>, default_topologies| {
@@ -195,7 +172,6 @@ fn cell_by_name(
             clients: 512,
             topologies,
             rounds,
-            engine: FadingEngine::Counter,
             run: Box::new(move || {
                 let scenario = Scenario::enterprise_office(64);
                 let mut sum = 0.0;
@@ -204,7 +180,6 @@ fn cell_by_name(
                     let pair = scenario.build(seed).expect("floor fits the grid");
                     for (mac, topo) in [(MacKind::Cas, pair.cas), (MacKind::Midas, pair.das)] {
                         let mut config = scenario.sim_config(mac, rounds, seed);
-                        config.fading = FadingEngine::Counter;
                         config.dynamics = dynamics;
                         sum += NetworkSimulator::new(topo, config).run().mean_capacity();
                     }
@@ -214,24 +189,11 @@ fn cell_by_name(
         }
     };
     match name {
-        "fig16_8ap" => Some(fig16("fig16_8ap", FadingEngine::Legacy, 4)),
-        "fig16_8ap_counter" => Some(fig16("fig16_8ap_counter", FadingEngine::Counter, 4)),
+        "fig16_8ap" => Some(fig16("fig16_8ap", 4)),
         "fig16_8ap_svc" => Some(svc("fig16_8ap_svc", 4)),
-        "enterprise_64ap" => Some(enterprise("enterprise_64ap", 64, FadingEngine::Legacy, 3)),
-        "enterprise_64ap_counter" => Some(enterprise(
-            "enterprise_64ap_counter",
-            64,
-            FadingEngine::Counter,
-            3,
-        )),
-        "enterprise_256ap" => Some(enterprise("enterprise_256ap", 256, FadingEngine::Legacy, 1)),
-        "enterprise_256ap_counter" => Some(enterprise(
-            "enterprise_256ap_counter",
-            256,
-            FadingEngine::Counter,
-            1,
-        )),
-        "metro_1024ap" => Some(enterprise("metro_1024ap", 1024, FadingEngine::Counter, 1)),
+        "enterprise_64ap" => Some(enterprise("enterprise_64ap", 64, 3)),
+        "enterprise_256ap" => Some(enterprise("enterprise_256ap", 256, 1)),
+        "metro_1024ap" => Some(enterprise("metro_1024ap", 1024, 1)),
         "mobility_64ap" => Some(mobility(
             "mobility_64ap",
             Some(DynamicsSpec::roaming_walk(1.4)),
@@ -322,37 +284,22 @@ fn print_stage_breakdown(timings: &StageTimings) {
 /// round path (stage timings accumulate coarse per-stage `Instant` reads,
 /// cheap next to a 64-AP round).
 fn profile(cell_name: &str, rounds: usize) {
-    let (scenario, default_engine) = match cell_name {
-        "enterprise_64ap" => (Some(Scenario::enterprise_office(64)), FadingEngine::Legacy),
-        "enterprise_64ap_counter" => (Some(Scenario::enterprise_office(64)), FadingEngine::Counter),
-        "enterprise_256ap" => (Some(Scenario::enterprise_office(256)), FadingEngine::Legacy),
-        "enterprise_256ap_counter" => (
-            Some(Scenario::enterprise_office(256)),
-            FadingEngine::Counter,
-        ),
-        "metro_1024ap" => (
-            Some(Scenario::enterprise_office(1024)),
-            FadingEngine::Counter,
-        ),
-        _ => (None, FadingEngine::Legacy),
-    };
-    let engine = match std::env::var("MIDAS_PIPELINE_ENGINE").as_deref() {
-        Ok("legacy") => FadingEngine::Legacy,
-        Ok("counter") => FadingEngine::Counter,
-        _ => default_engine,
+    let scenario = match cell_name {
+        "enterprise_64ap" => Some(Scenario::enterprise_office(64)),
+        "enterprise_256ap" => Some(Scenario::enterprise_office(256)),
+        "metro_1024ap" => Some(Scenario::enterprise_office(1024)),
+        _ => None,
     };
     match scenario {
         Some(scenario) => {
             let pair = scenario.build(BENCH_SEED).expect("floor fits the grid");
             let mut config = scenario.sim_config(MacKind::Midas, rounds, BENCH_SEED);
             config.rounds = rounds;
-            config.fading = engine;
             config.coherence_interval_rounds = env_usize("MIDAS_PIPELINE_COHERENCE", 1).max(1);
             let mut sim = NetworkSimulator::new(pair.das, config).with_stage_profiling();
             let result = sim.run();
             println!(
-                "# profile {cell_name} ({}): {rounds} rounds, mean capacity {:.3} bit/s/Hz",
-                engine_label(engine),
+                "# profile {cell_name}: {rounds} rounds, mean capacity {:.3} bit/s/Hz",
                 result.mean_capacity()
             );
             print_stage_breakdown(&sim.stage_timings());
@@ -360,19 +307,9 @@ fn profile(cell_name: &str, rounds: usize) {
         None => {
             // fig16_8ap (or anything unrecognised): the paper-scale workload
             // through the series runner, rounds stretched for a long loop.
-            let s = end_to_end_series_with_engine(
-                true,
-                1,
-                rounds,
-                BENCH_SEED,
-                ContentionModel::Graph,
-                engine,
-            );
+            let s = end_to_end_series(true, 1, rounds, BENCH_SEED, ContentionModel::Graph);
             let checksum = s.network.cas.iter().sum::<f64>() + s.network.das.iter().sum::<f64>();
-            println!(
-                "# profile fig16_8ap ({}): {rounds} rounds, checksum {checksum:.3}",
-                engine_label(engine)
-            );
+            println!("# profile fig16_8ap: {rounds} rounds, checksum {checksum:.3}");
         }
     }
 }
@@ -386,9 +323,8 @@ fn main() {
 
     let names = env_list(
         "MIDAS_PIPELINE_CELLS",
-        "fig16_8ap,fig16_8ap_counter,fig16_8ap_svc,enterprise_64ap,\
-         enterprise_64ap_counter,enterprise_256ap,enterprise_256ap_counter,\
-         metro_1024ap,mobility_64ap,mobility_64ap_off",
+        "fig16_8ap,fig16_8ap_svc,enterprise_64ap,enterprise_256ap,metro_1024ap,\
+         mobility_64ap,mobility_64ap_off",
     );
     let reps = env_usize("MIDAS_PIPELINE_REPS", 7).max(1);
     let topologies_override = std::env::var("MIDAS_PIPELINE_TOPOLOGIES")
@@ -427,7 +363,6 @@ fn main() {
         "pipeline",
         &[
             "cell",
-            "engine",
             "aps",
             "clients",
             "topologies",
@@ -447,9 +382,8 @@ fn main() {
         let s = stats(cell_samples);
         let throughput = sim_rounds(cell) as f64 / s.median_s;
         println!(
-            "# {} ({}): median {:.3} s, mean {:.3} s (95% CI [{:.3}, {:.3}]), {:.1} sim rounds/s (checksum {sink:.1})",
+            "# {}: median {:.3} s, mean {:.3} s (95% CI [{:.3}, {:.3}]), {:.1} sim rounds/s (checksum {sink:.1})",
             cell.name,
-            engine_label(cell.engine),
             s.median_s,
             s.mean_s,
             s.ci95_lo_s,
@@ -458,7 +392,6 @@ fn main() {
         );
         table.row([
             Cell::from(cell.name),
-            Cell::from(engine_label(cell.engine)),
             Cell::from(cell.aps),
             Cell::from(cell.clients),
             Cell::from(cell.topologies),
@@ -473,12 +406,11 @@ fn main() {
         ]);
         cells_json.push(format!(
             concat!(
-                "{{\"name\":\"{}\",\"engine\":\"{}\",\"aps\":{},\"clients\":{},",
+                "{{\"name\":\"{}\",\"aps\":{},\"clients\":{},",
                 "\"topologies\":{},\"rounds\":{},\"reps\":{},\"median_s\":{},\"mean_s\":{},",
                 "\"sd_s\":{},\"ci95_lo_s\":{},\"ci95_hi_s\":{},\"sim_rounds_per_s\":{}}}"
             ),
             cell.name,
-            engine_label(cell.engine),
             cell.aps,
             cell.clients,
             cell.topologies,

@@ -327,8 +327,9 @@ impl ChannelModel {
     /// without cloning the matrix or its large-scale gains.
     ///
     /// Consumes RNG draws in exactly the same link order as `evolve`, so the
-    /// two are bit-interchangeable; the round loop uses this form to avoid
-    /// one `h` + one `large_scale` allocation per AP per round.
+    /// two are bit-interchangeable.  This sequential path serves the
+    /// stale-CSI experiments (Fig. 11); the simulator's round loop evolves
+    /// through [`evolve_row_counter`](Self::evolve_row_counter) instead.
     pub fn evolve_in_place(&mut self, channel: &mut ChannelMatrix, delay_s: f64) {
         let rho = fading::correlation_for_delay(delay_s, self.env.coherence_time_s);
         for j in 0..channel.num_clients() {
@@ -352,20 +353,19 @@ impl ChannelModel {
         fading::correlation_for_delay(delay_s, self.env.coherence_time_s)
     }
 
-    /// One counter-keyed Gauss–Markov step over a single channel row
-    /// (`FadingEngine::Counter`; see [`CounterRng`]).
+    /// One counter-keyed Gauss–Markov step over a single channel row — the
+    /// simulator's fading engine (see [`CounterRng`]).
     ///
     /// The row's innovations come from the stateless stream keyed by
     /// `(fading_seed, ap, link, round)`, so the update is a pure function of
     /// the key and the row's prior state: the same step can be applied
     /// eagerly, lazily (catching a row up boundary by boundary), or on
     /// another thread and produce identical bits.  `&self`, not `&mut self`
-    /// — the model's sequential generator is untouched, which is what keeps
-    /// the `Legacy` engine's draws byte-stable when `Counter` is in use
-    /// elsewhere.
+    /// — the model's sequential generator is untouched.
     ///
-    /// The update works in the scaled domain: where the legacy path
-    /// normalises `h` by the large-scale gain `g`, evolves the unit-power
+    /// The update works in the scaled domain: where the sequential path
+    /// ([`evolve_in_place`](Self::evolve_in_place)) normalises `h` by the
+    /// large-scale gain `g`, evolves the unit-power
     /// coefficient and re-applies `g`, this computes
     /// `h ← rho·h + sqrt(1−rho²)·g·CN(0,1)` directly — the same process
     /// without the divide.  `pairs` is caller-provided scratch (one slot per
@@ -433,7 +433,7 @@ impl ChannelModel {
         }
     }
 
-    /// Counter-engine counterpart of [`ChannelModel::evolve_in_place`]:
+    /// Counter-keyed counterpart of [`ChannelModel::evolve_in_place`]:
     /// evolves every row of `channel` by one step keyed at `round`, with
     /// rows keyed by their index under AP lane `ap`.  Convenience for tests
     /// and single-matrix callers; the round loop calls

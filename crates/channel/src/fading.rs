@@ -16,32 +16,23 @@
 use crate::rng::SimRng;
 use midas_linalg::Complex;
 
-/// Which machinery drives small-scale fading evolution in the simulator.
+/// The simulator's small-scale fading engine: stateless counter-keyed
+/// draws.
 ///
-/// Both engines realise the same first-order Gauss–Markov process — same
-/// `rho`, same innovation distribution — and the paper's evaluation depends
-/// only on those statistics, not on one particular draw sequence
-/// (`paper_fidelity` bands pass under either engine).  They differ in *where
-/// the randomness comes from*:
+/// Every Gauss–Markov innovation is keyed by `(trial_seed, ap, link, round)`
+/// through a counter-based stream ([`CounterRng`](crate::rng::CounterRng)),
+/// so evolution is order-independent: rows are evolved lazily (only when a
+/// round reads them, with exact keyed catch-up), in batch, and in parallel
+/// (bit-identical at any thread count).
 ///
-/// * [`Legacy`](FadingEngine::Legacy) (the default) threads one sequential
-///   generator through every link in a fixed order.  Every historical golden
-///   stays byte-identical, but the pinned draw order forces eager, serial
-///   evolution of the full channel state each coherence interval.
-/// * [`Counter`](FadingEngine::Counter) keys each innovation by
-///   `(trial_seed, ap, link, round)` through a stateless counter-based
-///   stream ([`CounterRng`](crate::rng::CounterRng)), making evolution
-///   order-independent: rows can be evolved lazily (only when a round
-///   actually reads them, with exact keyed catch-up), in batch (one stream
-///   fills a whole row's innovations), and in parallel (bit-identical at
-///   any thread count).  Opting in changes per-draw values — statistics,
-///   not goldens, are the contract.
+/// This one-variant type selects nothing.  It exists only because the
+/// repository benchmark (`benchmark/`) still names it, through
+/// `JobSpec::engine` and `SessionBuilder::fading_engine`; remove all three
+/// together with that caller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FadingEngine {
-    /// Sequential draws from one shared generator (byte-stable goldens).
-    #[default]
-    Legacy,
     /// Stateless counter-keyed draws (order-independent; lazy/parallel).
+    #[default]
     Counter,
 }
 

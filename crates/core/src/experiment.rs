@@ -15,7 +15,7 @@ use crate::sim::{PairedRecipe, Session, SessionBuilder, SessionTrial};
 use crate::system::SingleApSystem;
 use midas_channel::geometry::{Point, Rect};
 use midas_channel::topology::{single_ap, TopologyConfig};
-use midas_channel::{ChannelModel, Environment, EnvironmentKind, FadingEngine, SimRng};
+use midas_channel::{ChannelModel, Environment, EnvironmentKind, SimRng};
 use midas_mac::client_select::{select_clients_midas, select_clients_random};
 use midas_mac::drr::DrrScheduler;
 use midas_mac::tagging::TagTable;
@@ -318,54 +318,12 @@ pub fn fig14_packet_tagging(topologies: usize, seed: u64) -> PairedSamples {
     }))
 }
 
-/// Deprecated alias: the network series of [`end_to_end_series`] under the
-/// legacy binary contention graph.
-#[deprecated(
-    since = "0.2.0",
-    note = "drive `midas::sim::ExperimentSpec::EndToEnd { contention: ContentionModel::Graph, .. }` \
-            or call `end_to_end_series(..).network`"
-)]
-pub fn end_to_end_capacity(
-    eight_aps: bool,
-    topologies: usize,
-    rounds: usize,
-    seed: u64,
-) -> PairedSamples {
-    end_to_end_series(eight_aps, topologies, rounds, seed, ContentionModel::Graph).network
-}
-
-/// Deprecated alias: the network series of [`end_to_end_series`].
-#[deprecated(
-    since = "0.2.0",
-    note = "drive `midas::sim::ExperimentSpec::EndToEnd` or call \
-            `end_to_end_series(..).network` — the single model-parameterised entry point"
-)]
-pub fn end_to_end_capacity_with_model(
-    eight_aps: bool,
-    topologies: usize,
-    rounds: usize,
-    seed: u64,
-    contention: ContentionModel,
-) -> PairedSamples {
-    end_to_end_series(eight_aps, topologies, rounds, seed, contention).network
-}
-
 /// The [`Session`] behind the Figs. 15 / 16 experiment: the paper layout
 /// recipe ([`PairedRecipe::eight_ap_paper`] / [`three_ap_paper`]) composed
 /// with the given contention model at the historical seed mix.
 ///
 /// [`three_ap_paper`]: PairedRecipe::three_ap_paper
 pub fn end_to_end_session(eight_aps: bool, rounds: usize, contention: ContentionModel) -> Session {
-    end_to_end_builder(eight_aps, rounds, contention).build()
-}
-
-/// The [`SessionBuilder`] behind [`end_to_end_session`], exposed so engine
-/// variants compose the identical recipe/mix before overriding knobs.
-fn end_to_end_builder(
-    eight_aps: bool,
-    rounds: usize,
-    contention: ContentionModel,
-) -> SessionBuilder {
     let recipe = if eight_aps {
         PairedRecipe::eight_ap_paper()
     } else {
@@ -375,6 +333,7 @@ fn end_to_end_builder(
         .rounds(rounds)
         .contention(contention)
         .seed_mix(193, 61)
+        .build()
 }
 
 /// Figs. 15 / 16 — end-to-end network capacity of CAS vs MIDAS over random
@@ -392,26 +351,6 @@ pub fn end_to_end_series(
     contention: ContentionModel,
 ) -> EndToEndSeries {
     end_to_end_session(eight_aps, rounds, contention).run(topologies, seed)
-}
-
-/// [`end_to_end_series`] under an explicit [`FadingEngine`]: the identical
-/// workload (same recipe, contention, historical seed mix), differing only
-/// in where small-scale innovations come from.  `FadingEngine::Legacy`
-/// reproduces [`end_to_end_series`] bit for bit; `FadingEngine::Counter`
-/// runs the lazy counter-keyed path and is the series the Fig. 16 fidelity
-/// band is re-checked against under the new engine.
-pub fn end_to_end_series_with_engine(
-    eight_aps: bool,
-    topologies: usize,
-    rounds: usize,
-    seed: u64,
-    contention: ContentionModel,
-    engine: FadingEngine,
-) -> EndToEndSeries {
-    end_to_end_builder(eight_aps, rounds, contention)
-        .fading_engine(engine)
-        .build()
-        .run(topologies, seed)
 }
 
 /// The Fig. 16 headline band the calibration scores against: the median
@@ -589,26 +528,10 @@ pub fn enterprise_scaling(
     rounds: usize,
     seed: u64,
 ) -> EnterpriseScalingSeries {
-    enterprise_scaling_with_engine(scenario, topologies, rounds, seed, FadingEngine::Legacy)
-}
-
-/// [`enterprise_scaling`] under an explicit [`FadingEngine`] — the same
-/// scenario workload including the contention-degree diagnostic, with
-/// `FadingEngine::Legacy` reproducing [`enterprise_scaling`] bit for bit
-/// and `FadingEngine::Counter` exercising the lazy counter-keyed evolution
-/// path (the configuration behind the counter benchmark cells).
-pub fn enterprise_scaling_with_engine(
-    scenario: &Scenario,
-    topologies: usize,
-    rounds: usize,
-    seed: u64,
-    engine: FadingEngine,
-) -> EnterpriseScalingSeries {
     let env = scenario.environment();
     let session = SessionBuilder::new(*scenario)
         .rounds(rounds)
         .seed_mix(1021, 101)
-        .fading_engine(engine)
         .build();
     let rows = session.run_trials(topologies, seed, &|trial: &SessionTrial<'_>| {
         // Structural diagnostic: range-limited AP contention degree of the
@@ -798,25 +721,13 @@ mod tests {
     fn end_to_end_midas_beats_cas_on_three_aps() {
         // Per-topology variance is high at this small scale, so aggregate a
         // handful of topologies; the bench runs the full-size version.
-        let s = end_to_end_series(false, 6, 10, 100, ContentionModel::Graph).network;
-        let das: f64 = s.das.iter().sum();
-        let cas: f64 = s.cas.iter().sum();
+        let series = end_to_end_series(false, 6, 10, 100, ContentionModel::Graph);
+        let das: f64 = series.network.das.iter().sum();
+        let cas: f64 = series.network.cas.iter().sum();
         assert!(das > cas, "MIDAS {das:.1} vs CAS {cas:.1}");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_capacity_shims_match_the_series_runner() {
-        // The migration shims are the network view of `end_to_end_series`;
-        // the per-client series must align with topologies × clients.
-        let series = end_to_end_series(false, 3, 5, 7, ContentionModel::Graph);
-        let capacity = end_to_end_capacity(false, 3, 5, 7);
-        assert_eq!(series.network.cas, capacity.cas);
-        assert_eq!(series.network.das, capacity.das);
-        let with_model = end_to_end_capacity_with_model(false, 3, 5, 7, ContentionModel::Graph);
-        assert_eq!(series.network.cas, with_model.cas);
-        assert_eq!(series.per_client.cas.len(), 3 * 12);
-        assert_eq!(series.per_client.das.len(), 3 * 12);
+        // The per-client series aligns with topologies × clients.
+        assert_eq!(series.per_client.cas.len(), 6 * 12);
+        assert_eq!(series.per_client.das.len(), 6 * 12);
         assert!(series.per_client.das.iter().all(|c| c.is_finite()));
     }
 

@@ -28,10 +28,6 @@
 //! | `experiment::fig03_naive_scaling_drop(n, seed)` | `ExperimentSpec::NaiveScalingDrop { topologies: n }.run(seed)` |
 //! | `experiment::fig08_09_capacity(env, k, n, seed)` | `ExperimentSpec::MuMimoCapacity { environment: env, antennas: k, topologies: n }.run(seed)` |
 //! | `experiment::fig12_simultaneous_tx(n, seed)` | `ExperimentSpec::SimultaneousTx { topologies: n }.run(seed)` |
-//! | `experiment::end_to_end_capacity(eight, n, r, seed)` | `ExperimentSpec::EndToEnd { eight_aps: eight, topologies: n, rounds: r, contention: ContentionModel::Graph }.run(seed)` |
-//! | `experiment::end_to_end_capacity_with_model(…, model)` | same spec with `contention: model` |
-//! | `spatial_reuse_trial(_with_model)` | `midas_net::spatial_reuse::trial(pair, env, rng, &model)` |
-//! | `HiddenTerminalScenario::compare(_with_model)` | `HiddenTerminalScenario::comparison(spacing, rng, &model)` |
 //! | bespoke `NetworkSimulator` loops | `SessionBuilder::new(source)…build()` + [`Session::run`] / [`Session::stream`] |
 //!
 //! ## Example
@@ -58,11 +54,10 @@ mod spec;
 
 pub use session::{PairedSamples, Session, SessionBuilder, SessionSeries, SessionTrial};
 pub use source::{PairedRecipe, TopologySource};
-pub use spec::{ExperimentOutput, ExperimentSpec, LoadGainRow, SpecParseError};
+pub use spec::{ExperimentOutput, ExperimentSpec, LoadGainRow};
 
 // The building blocks a session composes, re-exported so `midas::sim` is a
 // one-stop import for session users.
-pub use midas_channel::FadingEngine;
 pub use midas_net::capture::{ContentionModel, PhysicalConfig};
 pub use midas_net::dynamics::{DynamicsSpec, MobilityModel, ReassociationSpec};
 pub use midas_net::observer::{Accumulate, Observer, RoundRecord, RunningSummary, Tee};

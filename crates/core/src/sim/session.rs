@@ -88,7 +88,6 @@ pub struct SessionBuilder {
     rounds: usize,
     tag_width: Option<usize>,
     coherence_interval_rounds: Option<usize>,
-    fading: FadingEngine,
     evolve_threads: usize,
     stage_profiling: bool,
     dynamics: Option<DynamicsSpec>,
@@ -106,7 +105,6 @@ impl SessionBuilder {
             rounds: 20,
             tag_width: None,
             coherence_interval_rounds: None,
-            fading: FadingEngine::Legacy,
             evolve_threads: 1,
             stage_profiling: false,
             dynamics: None,
@@ -143,31 +141,25 @@ impl SessionBuilder {
     }
 
     /// Sets the channel coherence interval in TXOP rounds (default: 1 —
-    /// channels evolve every round, the paper's legacy behaviour).  Larger
-    /// intervals reuse the cached channel realisation (and its precoding
-    /// inputs) for `interval` consecutive rounds, evolving once per
-    /// interval with a correspondingly longer delay.
+    /// channels evolve every round).  Larger intervals reuse the cached
+    /// channel realisation (and its precoding inputs) for `interval`
+    /// consecutive rounds, evolving once per interval with a
+    /// correspondingly longer delay.
     pub fn coherence_interval_rounds(mut self, interval: usize) -> Self {
         self.coherence_interval_rounds = Some(interval.max(1));
         self
     }
 
-    /// Selects the small-scale fading engine (default:
-    /// [`FadingEngine::Legacy`], which keeps every historical series
-    /// byte-identical).  [`FadingEngine::Counter`] derives each innovation
-    /// from a stateless counter-based stream keyed by
-    /// `(trial_seed, ap, link, round)`, enabling lazy active-set evolution
-    /// and bit-identical intra-trial parallel evolve; its series are
-    /// statistically equivalent but not draw-for-draw identical to Legacy.
-    pub fn fading_engine(mut self, engine: FadingEngine) -> Self {
-        self.fading = engine;
+    /// Selects nothing: [`FadingEngine`] has one variant.  Kept only because
+    /// the repository benchmark (`benchmark/`) still calls it; remove it
+    /// together with that call.
+    pub fn fading_engine(self, _engine: FadingEngine) -> Self {
         self
     }
 
-    /// Sets how many threads each trial's counter-engine channel evolution
-    /// may use (default: 1).  Results are bit-identical at any setting; the
-    /// knob has no effect under [`FadingEngine::Legacy`], whose pinned draw
-    /// order is inherently serial.
+    /// Sets how many threads each trial's channel evolution may use
+    /// (default: 1).  Results are bit-identical at any setting: fading
+    /// draws are keyed, not sequenced.
     pub fn evolve_threads(mut self, threads: usize) -> Self {
         self.evolve_threads = threads.max(1);
         self
@@ -353,7 +345,6 @@ impl SessionTrial<'_> {
         if let Some(interval) = inner.coherence_interval_rounds {
             config.coherence_interval_rounds = interval;
         }
-        config.fading = inner.fading;
         config.evolve_threads = inner.evolve_threads;
         config.dynamics = inner.dynamics;
         config
@@ -483,8 +474,8 @@ mod tests {
             .das
             .iter()
             .all(|c| c.is_finite() && *c > 0.0));
-        // Caching the realisation across the whole run consumes less fading
-        // RNG, so the series must differ from evolve-every-round.
+        // Caching the realisation across the whole run evolves the channels
+        // less often, so the series must differ from evolve-every-round.
         assert_ne!(slow_fading.network.das, baseline.network.das);
         // And it is still deterministic.
         let again = SessionBuilder::new(PairedRecipe::three_ap_paper())

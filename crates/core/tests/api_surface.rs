@@ -24,8 +24,7 @@ const SOURCES: &[(&str, &str)] = &[
 const PINNED: &[&str] = &[
     "sim/mod.rs: use session::{PairedSamples, Session, SessionBuilder, SessionSeries, SessionTrial}",
     "sim/mod.rs: use source::{PairedRecipe, TopologySource}",
-    "sim/mod.rs: use spec::{ExperimentOutput, ExperimentSpec, LoadGainRow, SpecParseError}",
-    "sim/mod.rs: use midas_channel::FadingEngine",
+    "sim/mod.rs: use spec::{ExperimentOutput, ExperimentSpec, LoadGainRow}",
     "sim/mod.rs: use midas_net::capture::{ContentionModel, PhysicalConfig}",
     "sim/mod.rs: use midas_net::dynamics::{DynamicsSpec, MobilityModel, ReassociationSpec}",
     "sim/mod.rs: use midas_net::observer::{Accumulate, Observer, RoundRecord, RunningSummary, Tee}",
@@ -101,7 +100,6 @@ const PINNED: &[&str] = &[
     "sim/spec.rs: fn expect_tag_width",
     "sim/spec.rs: fn expect_das_radius",
     "sim/spec.rs: fn expect_antenna_wait",
-    "sim/spec.rs: struct SpecParseError",
 ];
 
 /// Extracts `kind name` for every `pub` declaration in a source file, in

@@ -14,10 +14,8 @@
 //! keep physics regressions distinguishable from unit-test failures.
 
 use midas::experiment::{
-    end_to_end_series, end_to_end_series_with_engine, fig12_simultaneous_tx,
-    sec534_hidden_terminals, FIG16_GAIN_BAND,
+    end_to_end_series, fig12_simultaneous_tx, sec534_hidden_terminals, FIG16_GAIN_BAND,
 };
-use midas_channel::FadingEngine;
 use midas_net::capture::{ContentionModel, PhysicalConfig};
 use midas_net::metrics::{relative_gain, Cdf};
 
@@ -85,16 +83,17 @@ fn sec534_hidden_terminal_reduction_is_in_band() {
 /// Paper: "MIDAS outperforms CAS by more than 150 %" in median at 8 APs.
 ///
 /// Accepted band: **[+50 %, +150 %]** (`FIG16_GAIN_BAND`) — the physical
-/// model closes the gap from the graph model's +46 % to +84 % at the
-/// bench seed (+51…+84 % across other seeds); the paper's full +150 %
-/// would require testbed wall/trace structure this propagation model does
-/// not reproduce.  The binary-graph reference below must meanwhile stay
-/// bit-identical (see `runner_determinism.rs`), so this band is pinned on
-/// the physical model only.
+/// model closes the gap from the graph model's +32 % to +67 % at the
+/// bench seed (+39…+86 % over seeds 1–8, two of which fall below the
+/// floor — the claim is not yet robust across seeds); the paper's full
+/// +150 % would require testbed wall/trace structure this propagation
+/// model does not reproduce.  The binary-graph reference must meanwhile
+/// stay bit-identical (see `runner_determinism.rs`), so this band is
+/// pinned on the physical model only.
 /// The aggregate *network* capacity gain of the same simulation is also
 /// banded: **[0 %, +60 %]** — not the paper's headline axis, but the
 /// physical model must move the aggregate in the right direction too
-/// (graph model: +8 % at the bench seed; calibrated physical: +21 %).
+/// (graph model: +8 % at the bench seed; calibrated physical: +15 %).
 /// MIDAS must not lose the aggregate comparison, and a runaway gain would
 /// mean the CAS baseline collapsed.  Both bands are asserted from one
 /// simulation run — the 8-AP physical sim is the suite's most expensive
@@ -131,51 +130,6 @@ fn fig16_physical_gains_are_in_band() {
     assert!(
         (0.0..=0.6).contains(&network_gain),
         "Fig. 16 network capacity gain {:.1} % outside accepted band [0 %, 60 %]",
-        100.0 * network_gain
-    );
-}
-
-/// Fig. 16 under [`FadingEngine::Counter`] — the paper band is a property
-/// of the *physics*, not of one draw sequence, so the counter-keyed engine
-/// must land inside the same accepted bands as the legacy engine
-/// (client gain **[+50 %, +150 %]**, network gain **[0 %, +60 %]**) at the
-/// bench seed and scale.  The other fidelity headlines (Fig. 12,
-/// §5.3.4) build their topologies and sensing fields without ever
-/// invoking channel *evolution*, so they are engine-invariant by
-/// construction and are not duplicated here.
-#[test]
-fn fig16_physical_gains_are_in_band_under_counter_engine() {
-    let s = end_to_end_series_with_engine(
-        true,
-        15,
-        10,
-        SEED,
-        ContentionModel::physical_calibrated(),
-        FadingEngine::Counter,
-    );
-
-    let client_gain = relative_gain(
-        Cdf::new(&s.per_client.das).median(),
-        Cdf::new(&s.per_client.cas).median(),
-    );
-    let (lo, hi) = FIG16_GAIN_BAND;
-    assert!(
-        (lo..=hi).contains(&client_gain),
-        "Fig. 16 (counter engine) median per-client gain {:.1} % outside accepted band \
-         [{:.0} %, {:.0} %]",
-        100.0 * client_gain,
-        100.0 * lo,
-        100.0 * hi
-    );
-
-    let network_gain = relative_gain(
-        Cdf::new(&s.network.das).median(),
-        Cdf::new(&s.network.cas).median(),
-    );
-    assert!(
-        (0.0..=0.6).contains(&network_gain),
-        "Fig. 16 (counter engine) network capacity gain {:.1} % outside accepted band \
-         [0 %, 60 %]",
         100.0 * network_gain
     );
 }

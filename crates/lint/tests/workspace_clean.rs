@@ -37,11 +37,10 @@ fn the_scan_covers_the_whole_workspace() {
         "only {} files scanned — walker regression?",
         report.files_scanned
     );
-    // The seven round-pipeline stage functions carry `// lint: no_alloc`.
-    assert!(
-        report.no_alloc_fns >= 7,
-        "expected at least the 7 annotated pipeline stages, saw {}",
-        report.no_alloc_fns
+    // The six round-pipeline stage functions carry `// lint: no_alloc`.
+    assert_eq!(
+        report.no_alloc_fns, 6,
+        "expected exactly the 6 annotated pipeline stages"
     );
     // Every honored pragma carries a written reason (the scanner rejects
     // reasonless allows, so this is a belt-and-braces re-check).
@@ -60,12 +59,13 @@ fn the_env_knob_registry_is_in_sync_and_nonempty() {
         report.knobs_source, report.knobs_readme,
         "source knobs and README table diverge"
     );
-    // 25 knobs at the time of writing; an empty registry would mean the
-    // string-literal extraction broke.
-    assert!(
-        report.knobs_source.len() >= 25,
-        "only {} knobs registered",
-        report.knobs_source.len()
+    // Exactly the 24 knobs of the README table; fewer would mean the
+    // string-literal extraction broke, more an undocumented addition.
+    assert_eq!(
+        report.knobs_source.len(),
+        24,
+        "knobs registered: {:?}",
+        report.knobs_source
     );
     assert!(report.knobs_source.contains(&"MIDAS_THREADS".to_string()));
 }

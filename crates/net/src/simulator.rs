@@ -21,7 +21,7 @@ use crate::scale::index::SpatialIndex;
 use crate::traffic::{FullBuffer, TrafficKind, TrafficModel};
 use midas_channel::geometry::Point;
 use midas_channel::topology::Topology;
-use midas_channel::{ChannelMatrix, ChannelModel, Environment, FadingEngine, SimRng};
+use midas_channel::{ChannelMatrix, ChannelModel, Environment, SimRng};
 use midas_linalg::{CMat, Complex};
 use midas_mac::client_select::{select_clients_cas, select_clients_midas};
 use midas_mac::drr::DrrScheduler;
@@ -83,26 +83,18 @@ pub struct NetworkSimConfig {
     pub scan: ScanMode,
     /// Channel-realisation cache length in rounds: channels evolve (fresh
     /// fading draws) only every this-many rounds, covering the elapsed time
-    /// in one step.  `1` (the constructor default) evolves every round and
-    /// reproduces the legacy simulator bit for bit; larger values model a
-    /// coherence interval longer than one TXOP and skip the evolution work
-    /// on the cached rounds entirely.
+    /// in one step.  `1` (the constructor default) evolves every round;
+    /// larger values model a coherence interval longer than one TXOP and
+    /// skip the evolution work on the cached rounds entirely.
     pub coherence_interval_rounds: usize,
     /// Contention semantics: the legacy binary carrier-sense graph
     /// (default, bit-identical to the pre-capture simulator) or the
     /// physical energy-detect + SINR-capture model (`crate::capture`).
     pub contention: ContentionModel,
-    /// Small-scale fading engine.  `Legacy` (the constructor default) keeps
-    /// every golden byte-identical; `Counter` switches evolution to
-    /// stateless counter-keyed draws, enabling lazy (active-set) and
-    /// parallel evolution — same Gauss–Markov statistics, different draw
-    /// values (see [`FadingEngine`]).
-    pub fading: FadingEngine,
-    /// Worker threads for the `Counter` engine's evolve stage (`1`, the
+    /// Worker threads for the fading stage's channel evolution (`1`, the
     /// constructor default, stays on the calling thread).  Results are
     /// bit-identical at any thread count — draws are keyed, not sequenced —
-    /// which `tests/proptest_fading.rs` pins.  Ignored under `Legacy`,
-    /// whose pinned draw order is inherently serial.
+    /// which `tests/proptest_fading.rs` pins.
     pub evolve_threads: usize,
     /// Long-horizon dynamics: client mobility and per-round roaming (see
     /// [`crate::dynamics`]).  `None` (the constructor default) is the
@@ -127,7 +119,6 @@ impl NetworkSimConfig {
             scan: ScanMode::Indexed,
             contention: ContentionModel::Graph,
             coherence_interval_rounds: 1,
-            fading: FadingEngine::Legacy,
             evolve_threads: 1,
             dynamics: None,
         }
@@ -146,7 +137,6 @@ impl NetworkSimConfig {
             scan: ScanMode::Indexed,
             contention: ContentionModel::Graph,
             coherence_interval_rounds: 1,
-            fading: FadingEngine::Legacy,
             evolve_threads: 1,
             dynamics: None,
         }
@@ -261,13 +251,13 @@ impl TopologyResult {
 /// All-zero when profiling is off — the hot path then never reads a clock.
 /// The gather of per-stream interferer neighbourhoods is attributed to
 /// `evaluate_s` (it is the evaluate stage's discovery half, hoisted so the
-/// counter fading engine knows which rows the round will read).
+/// fading stage knows which rows the round will read).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageTimings {
     /// Dynamics: mobility, large-scale refresh, roaming and the MAC-state
     /// rebuilds they trigger (0.0 when dynamics are off).
     pub dynamics_s: f64,
-    /// Channel evolution (legacy eager sweep or counter lazy catch-up).
+    /// Channel evolution (lazy keyed catch-up of the rows the round reads).
     pub evolve_s: f64,
     /// Carrier sensing against the antennas already on the air.
     pub sense_s: f64,
@@ -354,7 +344,7 @@ impl ActiveTransmission {
 }
 
 /// All per-round scratch of the staged round pipeline
-/// (`evolve → backlog → sense → select → gather → fading → precode →
+/// (`dynamics → backlog → sense → select → gather → fading → precode →
 /// evaluate → settle`).
 ///
 /// The simulator owns exactly one of these and threads it through every
@@ -515,12 +505,11 @@ struct ApChannel {
     /// Global client id → row of `ch`; `None` when the client is out of
     /// radio range of every antenna of this AP (its channel is never read).
     row_of: Vec<Option<u32>>,
-    /// Counter engine only: per-row next evolution boundary (round number).
-    /// A row whose entry is `b` has absorbed every keyed innovation for
-    /// boundaries `< b`; lazy catch-up replays boundaries `b, b+interval, …`
-    /// up to the current round before the row is read.  Starts at 0 (the
-    /// initial realisation has seen no evolution) and is never consulted by
-    /// the legacy engine.
+    /// Per-row next evolution boundary (round number).  A row whose entry
+    /// is `b` has absorbed every keyed innovation for boundaries `< b`; lazy
+    /// catch-up replays boundaries `b, b+interval, …` up to the current
+    /// round before the row is read.  Starts at 0 (the initial realisation
+    /// has seen no evolution).
     next_boundary: Vec<u64>,
 }
 
@@ -567,10 +556,9 @@ pub struct NetworkSimulator {
     /// Test knob: rebuild `workspace` from scratch every round, to prove
     /// reuse is observationally free (see `proptest_workspace.rs`).
     fresh_workspace_per_round: bool,
-    /// Test knob: under the counter engine, evolve *every* in-range row
-    /// every round instead of only the rows the round reads.  Lazy
-    /// evolution must be — and is pinned by `proptest_fading.rs` to be —
-    /// bit-identical to this eager reference.
+    /// Test knob: evolve *every* in-range row every round instead of only
+    /// the rows the round reads.  Lazy evolution must be — and is pinned by
+    /// `proptest_fading.rs` to be — bit-identical to this eager reference.
     eager_counter_evolve: bool,
     /// Collect per-stage wall-clock into the workspace's [`StageTimings`].
     profile_stages: bool,
@@ -704,12 +692,10 @@ impl NetworkSimulator {
         self.workspace.heap_footprint_bytes()
     }
 
-    /// Test knob: with [`FadingEngine::Counter`], evolve every in-range
-    /// channel row every round instead of only the rows the round reads.
-    /// Results must be — and are pinned by property tests to be —
-    /// bit-identical to the default lazy evolution; this exists only so
-    /// that equivalence is checkable.  No effect under `Legacy` (which is
-    /// always eager).
+    /// Test knob: evolve every in-range channel row every round instead of
+    /// only the rows the round reads.  Results must be — and are pinned by
+    /// property tests to be — bit-identical to the default lazy evolution;
+    /// this exists only so that equivalence is checkable.
     pub fn with_eager_counter_evolve(mut self) -> Self {
         self.eager_counter_evolve = true;
         self
@@ -768,15 +754,15 @@ impl NetworkSimulator {
     /// observer's, flat in the round count for fixed-size observers.
     ///
     /// Each round is an explicit staged pipeline —
-    /// `evolve → backlog → sense → select → gather → fading → precode →
+    /// `dynamics → backlog → sense → select → gather → fading → precode →
     /// evaluate → settle` — threaded through the simulator's round
-    /// workspace: `evolve_stage` advances the channels eagerly under the
-    /// legacy fading engine, `plan_stage` covers backlog through client
-    /// selection, `gather_stage` records each stream's interferers,
+    /// workspace: `dynamics_stage` moves and re-associates clients,
+    /// `plan_stage` covers backlog through client selection,
+    /// `gather_stage` records each stream's interferers,
     /// `counter_fading_stage` lazily catches up exactly the channel rows
-    /// the round reads under the counter engine, `precode_stage` computes
-    /// the precoding matrices, `evaluate_stage` computes deliveries, and
-    /// `settle_stage` updates fairness and queues.
+    /// the round reads, `precode_stage` computes the precoding matrices,
+    /// `evaluate_stage` computes deliveries, and `settle_stage` updates
+    /// fairness and queues.
     pub fn run_with(&mut self, observer: &mut dyn Observer) {
         observer.on_start(
             self.topo.clients.len(),
@@ -801,17 +787,12 @@ impl NetworkSimulator {
             self.dynamics_stage(round, &mut ws);
             ws.timings.dynamics_s += secs_since(t);
 
-            let t = tick(self.profile_stages);
-            self.evolve_stage(round);
-            ws.timings.evolve_s += secs_since(t);
-
             self.plan_stage(round, &mut ws);
 
             // The gather half of evaluation runs before precoding so the
-            // counter engine knows every channel row the round will read
+            // fading stage knows every channel row the round will read
             // (serving rows and interferer rows alike) and can catch
-            // exactly those up; it reads only positions, so hoisting it is
-            // invisible to the legacy engine.
+            // exactly those up; it reads only positions.
             let t = tick(self.profile_stages);
             self.gather_stage(&mut ws);
             ws.timings.evaluate_s += secs_since(t);
@@ -971,34 +952,13 @@ impl NetworkSimulator {
             .map_or(0, DynamicsState::heap_footprint_bytes)
     }
 
-    /// Pipeline stage 1 — legacy channel evolution.  Channels advance one
-    /// coherence interval (default: every round, one TXOP) in place; rounds
-    /// inside the interval reuse the cached realisation.  The counter
-    /// engine evolves later in the round — lazily, once the plan and gather
-    /// stages have determined which rows the round reads (see
-    /// [`counter_fading_stage`](Self::counter_fading_stage)).
-    // lint: no_alloc — steady-state stage: scratch lives in RoundWorkspace (PR 6 footprint pin)
-    fn evolve_stage(&mut self, round: usize) {
-        if self.config.fading != FadingEngine::Legacy {
-            return;
-        }
-        let interval = self.config.coherence_interval_rounds.max(1);
-        if !round.is_multiple_of(interval) {
-            return;
-        }
-        let delay_s = interval as f64 * DEFAULT_TXOP_US as f64 * 1e-6;
-        for apch in &mut self.channels {
-            self.model.evolve_in_place(&mut apch.ch, delay_s);
-        }
-    }
-
-    /// Pipeline stages 2–4 — backlog, sense, select: decides who transmits
+    /// Pipeline stages 1–3 — backlog, sense, select: decides who transmits
     /// this round, filling the workspace's transmission slots with the
     /// chosen clients and antennas.  Precoding happens in a later stage
-    /// ([`precode_stage`](Self::precode_stage)) so the counter fading
-    /// engine can bring the selected rows up to date in between; sensing
-    /// and selection never read small-scale fading (tags and DRR run on
-    /// large-scale RSSI), so the split is invisible to the legacy engine.
+    /// ([`precode_stage`](Self::precode_stage)) so the fading stage can
+    /// bring the selected rows up to date in between; sensing and
+    /// selection never read small-scale fading (tags and DRR run on
+    /// large-scale RSSI).
     // lint: no_alloc — steady-state stage: scratch lives in RoundWorkspace (PR 6 footprint pin)
     fn plan_stage(&mut self, round: usize, ws: &mut RoundWorkspace) {
         let num_aps = self.topo.aps.len();
@@ -1128,7 +1088,7 @@ impl NetworkSimulator {
         }
     }
 
-    /// Pipeline stage 5 — gather: discovers each stream's interfering
+    /// Pipeline stage 4 — gather: discovers each stream's interfering
     /// transmissions (position-only neighbourhood queries) and stores them
     /// in the workspace for the evaluate stage to replay.
     ///
@@ -1201,8 +1161,8 @@ impl NetworkSimulator {
         }
     }
 
-    /// Pipeline stage 6 — counter-engine fading: brings exactly the channel
-    /// rows this round reads up to the current evolution boundary.
+    /// Pipeline stage 5 — fading: brings exactly the channel rows this
+    /// round reads up to the current evolution boundary.
     ///
     /// The active set is the union of each live slot's serving rows and
     /// each stream's interferer rows (from the gather stage): those — and
@@ -1217,14 +1177,11 @@ impl NetworkSimulator {
     /// serially — no draw order exists to violate.
     // lint: no_alloc — steady-state stage: scratch lives in RoundWorkspace (PR 6 footprint pin)
     fn counter_fading_stage(&mut self, round: usize, ws: &mut RoundWorkspace) {
-        if self.config.fading != FadingEngine::Counter {
-            return;
-        }
         let interval = self.config.coherence_interval_rounds.max(1) as u64;
         // The last evolution boundary at or before this round; every row
         // read this round must have absorbed the innovations keyed by
-        // boundaries 0, interval, …, current_boundary (matching the legacy
-        // engine's cadence of evolving on rounds divisible by the interval).
+        // boundaries 0, interval, …, current_boundary (channels evolve on
+        // rounds divisible by the interval).
         let current_boundary = (round as u64 / interval) * interval;
         let delay_s = interval as f64 * DEFAULT_TXOP_US as f64 * 1e-6;
         let rho = self.model.step_correlation(delay_s);
@@ -1393,11 +1350,10 @@ impl NetworkSimulator {
         }
     }
 
-    /// Pipeline stage 7 — precode: computes each live slot's precoding
+    /// Pipeline stage 6 — precode: computes each live slot's precoding
     /// matrix over the (selected clients × available antennas) channel.
     /// Runs after the fading stage so it reads the current round's channel
-    /// state; the precoder is pure (no RNG), so extracting it from the plan
-    /// loop leaves the legacy engine's outputs untouched.
+    /// state; the precoder is pure (no RNG).
     // lint: no_alloc — steady-state stage: scratch lives in RoundWorkspace (PR 6 footprint pin)
     fn precode_stage(&self, ws: &mut RoundWorkspace) {
         let RoundWorkspace {
@@ -1412,7 +1368,7 @@ impl NetworkSimulator {
         }
     }
 
-    /// Pipeline stage 8 — evaluate: computes per-client capacities including
+    /// Pipeline stage 7 — evaluate: computes per-client capacities including
     /// cross-AP interference, filling `ws.capacities` with
     /// `(client, serving AP, capacity)` triples.  Interferers come from the
     /// lists the gather stage stored, replayed in stream order.
@@ -1505,7 +1461,7 @@ impl NetworkSimulator {
         }
     }
 
-    /// Pipeline stage 7 — settle: per-AP fairness (DRR) and traffic-queue
+    /// Pipeline stage 8 — settle: per-AP fairness (DRR) and traffic-queue
     /// bookkeeping for the round that just ran.
     ///
     /// Served clients are mapped from global ids back to AP-local ids through

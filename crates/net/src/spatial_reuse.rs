@@ -112,34 +112,6 @@ pub fn trial(
     }
 }
 
-/// Deprecated alias of [`trial`] under [`ContentionModel::Graph`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `spatial_reuse::trial(pair, env, rng, &ContentionModel::Graph)` \
-            or drive the experiment through `midas::sim::ExperimentSpec`"
-)]
-pub fn spatial_reuse_trial(
-    pair: &PairedTopology,
-    env: &Environment,
-    rng: &mut SimRng,
-) -> SpatialReuseResult {
-    trial(pair, env, rng, &ContentionModel::Graph)
-}
-
-/// Deprecated alias of [`trial`].
-#[deprecated(
-    since = "0.2.0",
-    note = "use `spatial_reuse::trial` — the model-parameterised entry point"
-)]
-pub fn spatial_reuse_trial_with_model(
-    pair: &PairedTopology,
-    env: &Environment,
-    rng: &mut SimRng,
-    model: &ContentionModel,
-) -> SpatialReuseResult {
-    trial(pair, env, rng, model)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,7 +9,7 @@
 //! `proptest_scale.rs` and the bench suite.
 
 use midas_channel::topology::{Topology, TopologyConfig};
-use midas_channel::{Environment, FadingEngine, SimRng};
+use midas_channel::{Environment, SimRng};
 use midas_net::dynamics::DynamicsSpec;
 use midas_net::observer::RunningSummary;
 use midas_net::scale::FloorGrid;
@@ -29,12 +29,11 @@ fn tiny_floor(seed: u64) -> (Topology, Environment) {
     (topo, Environment::open_plan())
 }
 
-/// Roaming walkers plus churn traffic under the counter engine.
+/// Roaming walkers plus churn traffic.
 fn dynamic_sim(rounds: usize, seed: u64, evolve_threads: usize) -> NetworkSimulator {
     let (topo, env) = tiny_floor(seed);
     let mut config = NetworkSimConfig::midas(env, seed);
     config.rounds = rounds;
-    config.fading = FadingEngine::Counter;
     config.evolve_threads = evolve_threads;
     config.dynamics = Some(DynamicsSpec::roaming_walk(1.4));
     NetworkSimulator::new(topo, config).with_traffic_kind(TrafficKind::Churn {
@@ -87,7 +86,7 @@ fn a_hundred_thousand_round_run_is_flat_in_memory() {
 #[test]
 fn dynamic_runs_are_bit_identical_across_evolve_thread_counts() {
     // Mobility, roaming and churn all draw from dedicated RNG streams, and
-    // counter-engine evolution is keyed rather than sequenced — so a
+    // fading evolution is keyed rather than sequenced — so a
     // 4-thread run must reproduce the single-thread run bit for bit.
     let serial = dynamic_sim(400, 7, 1).run();
     let parallel = dynamic_sim(400, 7, 4).run();

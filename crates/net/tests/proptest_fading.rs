@@ -1,19 +1,19 @@
-//! Property tests for the counter-keyed fading engine
-//! ([`FadingEngine::Counter`]).
+//! Property tests for the simulator's counter-keyed fading evolution.
 //!
-//! The engine's whole value proposition is order-independence: because every
+//! Its whole value proposition is order-independence: because every
 //! small-scale innovation is a pure function of `(trial_seed, ap, link,
 //! round)`, the simulator may evolve channel rows lazily (only the rows a
 //! round actually reads, caught up boundary by boundary) and in parallel
 //! (any thread count) without changing a single bit of the results.  The
 //! first two properties pin exactly that, over the same
 //! `{scan} × {contention} × {mac} × {traffic}` grid the workspace
-//! equivalence tests use.  The third pins what the engines *share*: both
-//! realise the same first-order Gauss–Markov process, so evolved fading
-//! must keep unit mean power and show lag-1 autocorrelation `rho` under
-//! either engine.
+//! equivalence tests use.  The third pins what the keyed evolution shares
+//! with the sequential one the stale-CSI experiments use
+//! ([`ChannelModel::evolve_in_place`]): both realise the same first-order
+//! Gauss–Markov process, so evolved fading must keep unit mean power and
+//! show lag-1 autocorrelation `rho` under either.
 
-use midas_channel::{ChannelModel, Environment, FadingEngine, Point};
+use midas_channel::{ChannelModel, Environment, Point};
 use midas_linalg::Complex;
 use midas_net::capture::ContentionModel;
 use midas_net::scale::Scenario;
@@ -21,9 +21,9 @@ use midas_net::simulator::{MacKind, NetworkSimulator, ScanMode};
 use midas_net::traffic::TrafficKind;
 use proptest::prelude::*;
 
-/// Builds a counter-engine simulator for one configuration point.
+/// Builds a simulator for one configuration point.
 #[allow(clippy::too_many_arguments)] // test helper: the grid IS the arguments
-fn build_counter_sim(
+fn build_sim(
     scenario: &Scenario,
     mac: MacKind,
     scan: ScanMode,
@@ -42,7 +42,6 @@ fn build_counter_sim(
     let mut config = scenario.sim_config(mac, rounds, seed);
     config.scan = scan;
     config.contention = contention;
-    config.fading = FadingEngine::Counter;
     config.evolve_threads = evolve_threads;
     let sim = NetworkSimulator::new(topo, config).with_traffic_kind(traffic);
     if eager {
@@ -82,10 +81,10 @@ proptest! {
             TrafficKind::OnOff { duty: 0.2, mean_burst_rounds: 2.0 }
         };
         for mac in [MacKind::Midas, MacKind::Cas] {
-            let lazy = build_counter_sim(
+            let lazy = build_sim(
                 &scenario, mac, scan, contention, traffic, 6, seed, 1, false,
             ).run();
-            let eager = build_counter_sim(
+            let eager = build_sim(
                 &scenario, mac, scan, contention, traffic, 6, seed, 1, true,
             ).run();
             prop_assert_eq!(
@@ -110,11 +109,11 @@ proptest! {
             ContentionModel::physical_calibrated()
         };
         for mac in [MacKind::Midas, MacKind::Cas] {
-            let serial = build_counter_sim(
+            let serial = build_sim(
                 &scenario, mac, ScanMode::Indexed, contention,
                 TrafficKind::FullBuffer, 6, seed, 1, false,
             ).run();
-            let parallel = build_counter_sim(
+            let parallel = build_sim(
                 &scenario, mac, ScanMode::Indexed, contention,
                 TrafficKind::FullBuffer, 6, seed, 4, false,
             ).run();
@@ -127,11 +126,20 @@ proptest! {
     }
 }
 
-/// Evolves one realisation `steps` times under the given engine, returning
+/// The two Gauss–Markov evolution paths of [`ChannelModel`].
+#[derive(Debug, Clone, Copy)]
+enum Evolution {
+    /// One sequential generator ([`ChannelModel::evolve_in_place`]).
+    Sequential,
+    /// Counter-keyed draws ([`ChannelModel::evolve_in_place_counter`]).
+    Keyed,
+}
+
+/// Evolves one realisation `steps` times along the given path, returning
 /// the large-scale-normalised fading coefficient of every link at every
-/// step (the unit-power CN process both engines must realise).
+/// step (the unit-power CN process both paths must realise).
 fn evolved_coefficients(
-    engine: FadingEngine,
+    evolution: Evolution,
     steps: usize,
     seed: u64,
     delay_s: f64,
@@ -162,9 +170,9 @@ fn evolved_coefficients(
     let mut pairs = Vec::new();
     let mut series = Vec::with_capacity(steps);
     for step in 0..steps {
-        match engine {
-            FadingEngine::Legacy => model.evolve_in_place(&mut channel, delay_s),
-            FadingEngine::Counter => {
+        match evolution {
+            Evolution::Sequential => model.evolve_in_place(&mut channel, delay_s),
+            Evolution::Keyed => {
                 model.evolve_in_place_counter(&mut channel, delay_s, 0, step as u64, &mut pairs)
             }
         }
@@ -175,18 +183,18 @@ fn evolved_coefficients(
 
 #[test]
 fn both_engines_realise_unit_power_gauss_markov_fading() {
-    // Statistical bands shared by both engines: the evolved unit-power
+    // Statistical bands shared by both paths: the evolved unit-power
     // coefficients must keep E[|f|^2] = 1 and show lag-1 autocorrelation
     // Re E[f_t conj(f_{t-1})] / E[|f|^2] = rho.  ~10 ms steps in an office
     // coherence time give a rho well inside (0, 1), so both failure modes
     // (frozen channel rho->1, iid redraw rho->0) sit far outside the band.
     let delay_s = 0.010;
     let steps = 400;
-    for engine in [FadingEngine::Legacy, FadingEngine::Counter] {
+    for evolution in [Evolution::Sequential, Evolution::Keyed] {
         let model = ChannelModel::new(Environment::office_a(), 9);
         let rho = model.step_correlation(delay_s);
         assert!(rho > 0.2 && rho < 0.98, "step rho {rho} outside test band");
-        let series = evolved_coefficients(engine, steps, 9, delay_s);
+        let series = evolved_coefficients(evolution, steps, 9, delay_s);
         let links = series[0].len();
         let mut power_sum = 0.0;
         let mut corr_sum = 0.0;
@@ -204,56 +212,11 @@ fn both_engines_realise_unit_power_gauss_markov_fading() {
         let autocorr = corr_sum / corr_n as f64 / mean_power;
         assert!(
             (mean_power - 1.0).abs() < 0.05,
-            "{engine:?}: evolved mean power {mean_power} not ~1"
+            "{evolution:?}: evolved mean power {mean_power} not ~1"
         );
         assert!(
             (autocorr - rho).abs() < 0.05,
-            "{engine:?}: lag-1 autocorrelation {autocorr} vs rho {rho}"
+            "{evolution:?}: lag-1 autocorrelation {autocorr} vs rho {rho}"
         );
     }
-}
-
-#[test]
-fn counter_engine_differs_from_legacy_but_is_deterministic() {
-    // Opting into the counter engine changes per-draw values (statistics,
-    // not goldens, are the contract) — but it is exactly reproducible.
-    let scenario = Scenario::enterprise_office(8);
-    let legacy = {
-        let pair = scenario.build(3).expect("buildable scenario");
-        let config = scenario.sim_config(MacKind::Midas, 6, 3);
-        NetworkSimulator::new(pair.das, config).run()
-    };
-    let counter = build_counter_sim(
-        &scenario,
-        MacKind::Midas,
-        ScanMode::Indexed,
-        ContentionModel::Graph,
-        TrafficKind::FullBuffer,
-        6,
-        3,
-        1,
-        false,
-    )
-    .run();
-    let counter_again = build_counter_sim(
-        &scenario,
-        MacKind::Midas,
-        ScanMode::Indexed,
-        ContentionModel::Graph,
-        TrafficKind::FullBuffer,
-        6,
-        3,
-        1,
-        false,
-    )
-    .run();
-    assert_eq!(
-        counter, counter_again,
-        "counter engine must be deterministic"
-    );
-    assert_ne!(
-        legacy, counter,
-        "counter engine unexpectedly reproduced the legacy draw sequence"
-    );
-    assert!(counter.mean_capacity().is_finite() && counter.mean_capacity() > 0.0);
 }

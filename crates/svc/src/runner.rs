@@ -10,7 +10,7 @@
 //! [`PairedRecipe`], contention, seed mix and assembly order) and stream
 //! through [`Accumulate`] — which rebuilds the legacy result bit for bit —
 //! while a [`JsonlObserver`] tees the same rounds to disk.  The integration
-//! tests pin this equivalence for both fading engines.
+//! tests pin this equivalence.
 //!
 //! ## Cancellation
 //!
@@ -194,7 +194,7 @@ pub fn run_job(
                     return None;
                 }
                 // The structural contention-degree diagnostic, exactly as
-                // `enterprise_scaling_with_engine` computes it.
+                // `experiment::enterprise_scaling` computes it.
                 let graph = ContentionGraph::new(env, trial.seed() ^ 0x5151);
                 let adjacency = graph.ap_adjacency_indexed(
                     &trial.pair().das,
@@ -253,7 +253,6 @@ pub fn run_job(
 /// Applies the spec's session knobs onto a figure-pinned builder.
 fn apply_knobs(builder: SessionBuilder, spec: &JobSpec) -> SessionBuilder {
     let mut builder = builder
-        .fading_engine(spec.engine)
         .traffic(spec.traffic)
         .stage_profiling(spec.stage_profiling);
     if let Some(interval) = spec.coherence_interval_rounds {

@@ -1,7 +1,7 @@
 //! The on-disk experiment spec: a JSON encoding of [`ExperimentSpec`] plus
 //! the [`SessionBuilder`](midas::sim::SessionBuilder) knobs a capacity-
-//! planning job may turn (fading engine, traffic workload, coherence
-//! interval, worker threads, deadline).
+//! planning job may turn (traffic workload, coherence interval, dynamics,
+//! worker threads, deadline).
 //!
 //! Decoding is strict: unknown keys, wrong types and out-of-range knobs are
 //! errors, each carrying the `$.dotted.path` of the offending field.  The
@@ -9,18 +9,18 @@
 //! so a written spec re-reads to the identical value.
 //!
 //! The content address ([`JobSpec::cache_key`]) hashes only the fields that
-//! affect the result bytes: experiment, seed, engine, traffic and coherence
-//! interval.  Scheduling knobs (threads, deadline, stage profiling) are
-//! excluded — the same experiment at a different worker count is the same
-//! cached result, which the determinism tests guarantee.
+//! affect the result bytes: experiment, seed, traffic, coherence interval
+//! and (when set) dynamics.  Scheduling knobs (threads, deadline, stage
+//! profiling) are excluded — the same experiment at a different worker
+//! count is the same cached result, which the determinism tests guarantee.
 
 use std::fmt;
 
 use crate::hash::sha256_hex;
 use crate::json::{Json, JsonError};
 use midas::experiment::CalibrationGrid;
-use midas::sim::{ContentionModel, ExperimentSpec, FadingEngine, PhysicalConfig, TrafficKind};
-use midas_channel::EnvironmentKind;
+use midas::sim::{ContentionModel, ExperimentSpec, PhysicalConfig, TrafficKind};
+use midas_channel::{EnvironmentKind, FadingEngine};
 use midas_net::dynamics::{DynamicsSpec, MobilityModel, ReassociationSpec};
 use midas_net::scale::{AssociationPolicy, Scenario};
 
@@ -91,7 +91,9 @@ pub struct JobSpec {
     /// The sweep seed (required in every spec file — reproducibility is
     /// explicit, never ambient).
     pub seed: u64,
-    /// Small-scale fading engine (session-driven experiments only).
+    /// Selects nothing: [`FadingEngine`] has one variant.  Kept only because
+    /// the repository benchmark (`benchmark/`) passes it to
+    /// `SessionBuilder::fading_engine`; remove it together with that call.
     pub engine: FadingEngine,
     /// Downlink traffic workload (session-driven experiments only).
     pub traffic: TrafficKind,
@@ -116,7 +118,7 @@ impl JobSpec {
         JobSpec {
             experiment,
             seed,
-            engine: FadingEngine::Legacy,
+            engine: FadingEngine::Counter,
             traffic: TrafficKind::FullBuffer,
             coherence_interval_rounds: None,
             threads: None,
@@ -127,7 +129,7 @@ impl JobSpec {
     }
 
     /// Whether the experiment runs through the session machinery (and so
-    /// accepts engine/traffic/coherence knobs and streams a round log).
+    /// accepts traffic/coherence/dynamics knobs and streams a round log).
     pub fn is_session_driven(&self) -> bool {
         matches!(
             self.experiment,
@@ -143,8 +145,9 @@ impl JobSpec {
         Ok(spec)
     }
 
-    /// Decodes a parsed JSON document (structure only; see
-    /// [`JobSpec::validate`] for the cross-field rules).
+    /// Decodes a parsed JSON document (structure only, plus the `engine`
+    /// key's rules; see [`JobSpec::validate`] for the other cross-field
+    /// rules).
     pub fn from_json(json: &Json) -> Result<JobSpec, DecodeError> {
         let path = "$";
         check_keys(
@@ -164,10 +167,6 @@ impl JobSpec {
         )?;
         let experiment = experiment_from_json(field(json, path, "experiment")?, "$.experiment")?;
         let seed = take_u64(field(json, path, "seed")?, "$.seed")?;
-        let engine = match opt_field(json, "engine") {
-            None => FadingEngine::Legacy,
-            Some(v) => engine_from_json(v, "$.engine")?,
-        };
         let traffic = match opt_field(json, "traffic") {
             None => TrafficKind::FullBuffer,
             Some(v) => traffic_from_json(v, "$.traffic")?,
@@ -192,33 +191,39 @@ impl JobSpec {
             None => None,
             Some(v) => Some(dynamics_from_json(v, "$.dynamics")?),
         };
-        Ok(JobSpec {
+        let spec = JobSpec {
             experiment,
             seed,
-            engine,
+            engine: FadingEngine::Counter,
             traffic,
             coherence_interval_rounds,
             threads,
             deadline_ms,
             stage_profiling,
             dynamics,
-        })
+        };
+        // `engine` decodes to nothing, so its rules are checked here, where
+        // the key's presence is still visible.
+        if let Some(v) = opt_field(json, "engine") {
+            engine_from_json(v, "$.engine")?;
+            if !spec.is_session_driven() {
+                return Err(DecodeError::new(
+                    "$.engine",
+                    format!(
+                        "the fading engine only applies to session-driven experiments \
+                         (end-to-end, enterprise scaling); {} runs its own fixed recipe",
+                        spec.experiment.name()
+                    ),
+                ));
+            }
+        }
+        Ok(spec)
     }
 
     /// Cross-field rules: session knobs only apply to session-driven
     /// experiments, and numeric knobs must be in range.
     pub fn validate(&self) -> Result<(), DecodeError> {
         if !self.is_session_driven() {
-            if self.engine != FadingEngine::Legacy {
-                return Err(DecodeError::new(
-                    "$.engine",
-                    format!(
-                        "the fading engine only applies to session-driven experiments \
-                         (end-to-end, enterprise scaling); {} runs its own fixed recipe",
-                        self.experiment.name()
-                    ),
-                ));
-            }
             if self.traffic != TrafficKind::FullBuffer {
                 return Err(DecodeError::new(
                     "$.traffic",
@@ -401,7 +406,6 @@ impl JobSpec {
         Json::Obj(vec![
             ("experiment".into(), experiment_to_json(&self.experiment)),
             ("seed".into(), Json::UInt(self.seed)),
-            ("engine".into(), engine_to_json(self.engine)),
             ("traffic".into(), traffic_to_json(self.traffic)),
             (
                 "coherence_interval_rounds".into(),
@@ -427,7 +431,6 @@ impl JobSpec {
         let mut members = vec![
             ("experiment".into(), experiment_to_json(&self.experiment)),
             ("seed".into(), Json::UInt(self.seed)),
-            ("engine".into(), engine_to_json(self.engine)),
             ("traffic".into(), traffic_to_json(self.traffic)),
             (
                 "coherence_interval_rounds".into(),
@@ -557,23 +560,19 @@ fn u64_list(v: &Json, path: &str) -> Result<Vec<u64>, DecodeError> {
 // ---------------------------------------------------------------------------
 // Leaf codecs
 
-fn engine_to_json(engine: FadingEngine) -> Json {
-    Json::Str(
-        match engine {
-            FadingEngine::Legacy => "legacy",
-            FadingEngine::Counter => "counter",
-        }
-        .into(),
-    )
-}
-
-fn engine_from_json(v: &Json, path: &str) -> Result<FadingEngine, DecodeError> {
+/// The `engine` key: `"counter"`, the only engine, is accepted as an
+/// explicit default; `"legacy"` names the removed sequential engine.
+fn engine_from_json(v: &Json, path: &str) -> Result<(), DecodeError> {
     match take_str(v, path)? {
-        "legacy" => Ok(FadingEngine::Legacy),
-        "counter" => Ok(FadingEngine::Counter),
+        "counter" => Ok(()),
+        "legacy" => Err(DecodeError::new(
+            path,
+            "the legacy fading engine was removed; omit \"engine\" (or write \"counter\") \
+             to run the counter-keyed engine",
+        )),
         other => Err(DecodeError::new(
             path,
-            format!("unknown fading engine {other:?} (expected \"legacy\" or \"counter\")"),
+            format!("unknown fading engine {other:?} (expected \"counter\")"),
         )),
     }
 }
@@ -1407,7 +1406,6 @@ mod tests {
     #[test]
     fn job_spec_round_trips_with_all_knobs() {
         let mut spec = JobSpec::new(ExperimentSpec::fig16(ContentionModel::Graph), 99);
-        spec.engine = FadingEngine::Counter;
         spec.traffic = TrafficKind::OnOff {
             duty: 0.3,
             mean_burst_rounds: 4.0,
@@ -1500,7 +1498,6 @@ mod tests {
             "seed": 73125
         }"#;
         let spec = JobSpec::from_json_str(text).unwrap();
-        assert_eq!(spec.engine, FadingEngine::Legacy);
         assert_eq!(spec.traffic, TrafficKind::FullBuffer);
         assert_eq!(spec.coherence_interval_rounds, None);
         assert!(!spec.stage_profiling);
@@ -1508,16 +1505,140 @@ mod tests {
 
     /// The cache-key material is a pinned golden: if these bytes drift, the
     /// whole on-disk cache silently invalidates, so any change here must be
-    /// deliberate.
+    /// deliberate.  It is the one canonical encoding of a spec, so every
+    /// experiment variant is pinned.
     #[test]
     fn cache_key_material_is_pinned() {
-        assert_eq!(
-            fig16_spec().cache_key_material(),
-            "{\"coherence_interval_rounds\":null,\"engine\":\"legacy\",\
-             \"experiment\":{\"contention\":{\"model\":\"graph\"},\
-             \"kind\":\"fig16_eight_ap_simulation\",\"rounds\":10,\"topologies\":15},\
-             \"seed\":73125,\"traffic\":{\"model\":\"full_buffer\"}}"
-        );
+        let pinned: Vec<(ExperimentSpec, &str)> = vec![
+            (
+                ExperimentSpec::fig03(),
+                r#"{"kind":"fig03_naive_scaling_drop","topologies":60}"#,
+            ),
+            (
+                ExperimentSpec::fig07(),
+                r#"{"kind":"fig07_link_snr","topologies":60}"#,
+            ),
+            (
+                ExperimentSpec::fig08_09(EnvironmentKind::OfficeA, 4),
+                r#"{"antennas":4,"environment":"office_a","kind":"fig08_09_capacity","topologies":60}"#,
+            ),
+            (
+                ExperimentSpec::fig08_09(EnvironmentKind::OfficeB, 8),
+                r#"{"antennas":8,"environment":"office_b","kind":"fig08_09_capacity","topologies":60}"#,
+            ),
+            (
+                ExperimentSpec::fig10(),
+                r#"{"kind":"fig10_smart_precoding","topologies":60}"#,
+            ),
+            (
+                ExperimentSpec::fig11(true),
+                r#"{"kind":"fig11_optimal_comparison","stale_csi":true,"topologies":20}"#,
+            ),
+            (
+                ExperimentSpec::fig12(),
+                r#"{"kind":"fig12_simultaneous_tx","topologies":30}"#,
+            ),
+            (
+                ExperimentSpec::fig13(),
+                r#"{"deployments":10,"kind":"fig13_deadzone"}"#,
+            ),
+            (
+                ExperimentSpec::sec534(),
+                r#"{"deployments":10,"kind":"sec534_hidden_terminals"}"#,
+            ),
+            (
+                ExperimentSpec::fig14(),
+                r#"{"kind":"fig14_packet_tagging","topologies":60}"#,
+            ),
+            (
+                ExperimentSpec::fig15(),
+                r#"{"contention":{"model":"graph"},"kind":"fig15_three_ap_end_to_end","rounds":15,"topologies":30}"#,
+            ),
+            (
+                ExperimentSpec::fig16(ContentionModel::Graph),
+                r#"{"contention":{"model":"graph"},"kind":"fig16_eight_ap_simulation","rounds":10,"topologies":15}"#,
+            ),
+            (
+                ExperimentSpec::fig16(ContentionModel::physical_calibrated()),
+                r#"{"contention":{"capture_margin_db":10.0,"cs_threshold_dbm":-86.0,"model":"physical","sensing_sigma_db":3.0},"kind":"fig16_eight_ap_simulation","rounds":10,"topologies":15}"#,
+            ),
+            (
+                ExperimentSpec::EndToEnd {
+                    eight_aps: true,
+                    topologies: 2,
+                    rounds: 3,
+                    contention: ContentionModel::Physical(PhysicalConfig {
+                        cs_threshold_dbm: -82.0,
+                        capture_margin_db: 6.0,
+                        sensing_sigma_db: None,
+                    }),
+                },
+                r#"{"contention":{"capture_margin_db":6.0,"cs_threshold_dbm":-82.0,"model":"physical","sensing_sigma_db":null},"kind":"fig16_eight_ap_simulation","rounds":3,"topologies":2}"#,
+            ),
+            (
+                ExperimentSpec::Fig16Calibration {
+                    grid: CalibrationGrid::default(),
+                    topologies: 2,
+                    rounds: 5,
+                },
+                r#"{"capture_margins_db":[6.0,8.0,10.0],"cs_thresholds_dbm":[-88.0,-86.0,-84.0],"kind":"fig16_calibration","rounds":5,"sensing_sigmas_db":[3.0,4.5],"topologies":2}"#,
+            ),
+            (
+                ExperimentSpec::EnterpriseScaling {
+                    scenario: Scenario::enterprise_office(64),
+                    topologies: 3,
+                    rounds: 10,
+                },
+                r#"{"aps":64,"kind":"enterprise_scaling","rounds":10,"scenario":"enterprise_office","topologies":3}"#,
+            ),
+            (
+                ExperimentSpec::EnterpriseScaling {
+                    scenario: Scenario::auditorium(16),
+                    topologies: 2,
+                    rounds: 5,
+                },
+                r#"{"aps":16,"kind":"enterprise_scaling","rounds":5,"scenario":"auditorium","topologies":2}"#,
+            ),
+            (
+                ExperimentSpec::LoadVsGain {
+                    duty_cycles: vec![0.1, 0.5, 1.0],
+                    topologies: 4,
+                    rounds: 12,
+                    speed_mps: 1.2,
+                },
+                r#"{"duty_cycles":[0.1,0.5,1.0],"kind":"load_vs_gain","rounds":12,"speed_mps":1.2,"topologies":4}"#,
+            ),
+            (
+                ExperimentSpec::TagWidth {
+                    widths: vec![1, 2, 4],
+                    topologies: 60,
+                },
+                r#"{"kind":"ablation_tag_width","topologies":60,"widths":[1,2,4]}"#,
+            ),
+            (
+                ExperimentSpec::DasRadius {
+                    fractions: vec![(0.25, 0.5), (0.5, 0.75)],
+                    topologies: 60,
+                },
+                r#"{"fractions":[[0.25,0.5],[0.5,0.75]],"kind":"ablation_das_radius","topologies":60}"#,
+            ),
+            (
+                ExperimentSpec::AntennaWait {
+                    windows_us: vec![0, 10, 20],
+                    trials: 100,
+                },
+                r#"{"kind":"ablation_antenna_wait","trials":100,"windows_us":[0,10,20]}"#,
+            ),
+        ];
+        for (experiment, golden) in pinned {
+            let material = JobSpec::new(experiment, 73125).cache_key_material();
+            assert_eq!(
+                material,
+                format!(
+                    r#"{{"coherence_interval_rounds":null,"experiment":{golden},"seed":73125,"traffic":{{"model":"full_buffer"}}}}"#
+                ),
+            );
+        }
     }
 
     #[test]
@@ -1538,9 +1659,33 @@ mod tests {
         let mut reseeded = base.clone();
         reseeded.seed = 73126;
         assert_ne!(reseeded.cache_key(), key);
-        let mut counter = base.clone();
-        counter.engine = FadingEngine::Counter;
-        assert_ne!(counter.cache_key(), key);
+    }
+
+    #[test]
+    fn legacy_engine_is_rejected_as_removed() {
+        let text = r#"{
+            "experiment": {"kind": "fig15_three_ap_end_to_end", "topologies": 2,
+                           "rounds": 3, "contention": {"model": "graph"}},
+            "seed": 1,
+            "engine": "legacy"
+        }"#;
+        let err = JobSpec::from_json_str(text).unwrap_err().to_string();
+        assert!(err.contains("$.engine"), "{err}");
+        assert!(err.contains("legacy fading engine was removed"), "{err}");
+    }
+
+    #[test]
+    fn explicit_counter_engine_keeps_the_default_cache_id() {
+        let implicit = r#"{
+            "experiment": {"kind": "fig15_three_ap_end_to_end", "topologies": 2,
+                           "rounds": 3, "contention": {"model": "graph"}},
+            "seed": 1
+        }"#;
+        let explicit = implicit.replace("\"seed\": 1", "\"seed\": 1, \"engine\": \"counter\"");
+        let implicit = JobSpec::from_json_str(implicit).unwrap();
+        let explicit = JobSpec::from_json_str(&explicit).unwrap();
+        assert_eq!(explicit, implicit);
+        assert_eq!(explicit.cache_key(), implicit.cache_key());
     }
 
     #[test]
@@ -1581,10 +1726,14 @@ mod tests {
 
     #[test]
     fn session_knobs_are_rejected_on_non_session_experiments() {
-        let mut spec = JobSpec::new(ExperimentSpec::fig07(), 1);
-        spec.engine = FadingEngine::Counter;
-        let err = spec.validate().unwrap_err();
-        assert!(err.to_string().contains("session-driven"), "{err}");
+        let text = r#"{
+            "experiment": {"kind": "fig07_link_snr", "topologies": 60},
+            "seed": 1,
+            "engine": "counter"
+        }"#;
+        let err = JobSpec::from_json_str(text).unwrap_err().to_string();
+        assert!(err.contains("$.engine"), "{err}");
+        assert!(err.contains("session-driven"), "{err}");
 
         let text = r#"{
             "experiment": {"kind": "fig07_link_snr", "topologies": 60},

@@ -79,8 +79,6 @@ pub struct StatusRecord {
     pub kind: String,
     /// The sweep seed.
     pub seed: u64,
-    /// The fading engine token.
-    pub engine: String,
     /// Current lifecycle state.
     pub state: JobState,
     /// When the job was accepted (unix ms).
@@ -108,10 +106,6 @@ impl StatusRecord {
             id: id.to_string(),
             kind: spec.experiment.name().to_string(),
             seed: spec.seed,
-            engine: match spec.engine {
-                midas::sim::FadingEngine::Legacy => "legacy".to_string(),
-                midas::sim::FadingEngine::Counter => "counter".to_string(),
-            },
             state: JobState::Queued,
             queued_unix_ms: unix_ms(),
             started_unix_ms: None,
@@ -131,7 +125,6 @@ impl StatusRecord {
             ("id".into(), Json::Str(self.id.clone())),
             ("kind".into(), Json::Str(self.kind.clone())),
             ("seed".into(), Json::UInt(self.seed)),
-            ("engine".into(), Json::Str(self.engine.clone())),
             ("state".into(), Json::Str(self.state.as_str().into())),
             ("queued_unix_ms".into(), Json::UInt(self.queued_unix_ms)),
             ("started_unix_ms".into(), opt(self.started_unix_ms)),
@@ -151,14 +144,14 @@ impl StatusRecord {
     }
 
     /// Decodes a `status.json` value; `None` if the required fields are
-    /// missing or mistyped (a torn or foreign file).
+    /// missing or mistyped (a torn or foreign file).  Keys this version does
+    /// not write — such as the `engine` of older records — are ignored.
     pub fn from_json(v: &Json) -> Option<StatusRecord> {
         let opt = |key: &str| v.get(key).and_then(Json::as_u64);
         Some(StatusRecord {
             id: v.get("id")?.as_str()?.to_string(),
             kind: v.get("kind")?.as_str()?.to_string(),
             seed: v.get("seed")?.as_u64()?,
-            engine: v.get("engine")?.as_str()?.to_string(),
             state: JobState::parse(v.get("state")?.as_str()?)?,
             queued_unix_ms: v.get("queued_unix_ms")?.as_u64()?,
             started_unix_ms: opt("started_unix_ms"),
@@ -216,6 +209,20 @@ mod tests {
         record.error = Some("boom".into());
         let back = StatusRecord::from_json(&record.to_json()).unwrap();
         assert_eq!(back, record);
+    }
+
+    #[test]
+    fn engine_is_no_longer_written_but_older_records_still_read() {
+        let record = StatusRecord::queued("abc123", &spec());
+        let json = record.to_json();
+        assert!(json.get("engine").is_none(), "{}", json.write_compact());
+
+        let Json::Obj(mut members) = json else {
+            panic!("status.json is an object");
+        };
+        members.push(("engine".into(), Json::Str("legacy".into())));
+        let older = Json::Obj(members);
+        assert_eq!(StatusRecord::from_json(&older), Some(record));
     }
 
     #[test]

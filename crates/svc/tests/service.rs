@@ -5,8 +5,8 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use midas::experiment::end_to_end_series_with_engine;
-use midas::sim::{ContentionModel, ExperimentOutput, ExperimentSpec, FadingEngine};
+use midas::experiment::end_to_end_series;
+use midas::sim::{ContentionModel, ExperimentOutput, ExperimentSpec};
 use midas_net::scale::Scenario;
 use midas_svc::json::Json;
 use midas_svc::pool::{JobOutcome, JobQueue};
@@ -23,8 +23,8 @@ fn scratch(tag: &str) -> PathBuf {
 }
 
 /// A small session-driven workload: 3-AP testbed, 2 topologies, 3 rounds.
-fn small_end_to_end(seed: u64, engine: FadingEngine) -> JobSpec {
-    let mut spec = JobSpec::new(
+fn small_end_to_end(seed: u64) -> JobSpec {
+    JobSpec::new(
         ExperimentSpec::EndToEnd {
             eight_aps: false,
             topologies: 2,
@@ -32,44 +32,39 @@ fn small_end_to_end(seed: u64, engine: FadingEngine) -> JobSpec {
             contention: ContentionModel::Graph,
         },
         seed,
-    );
-    spec.engine = engine;
-    spec
+    )
 }
 
 #[test]
 fn result_json_is_byte_identical_to_the_in_process_run() {
-    for engine in [FadingEngine::Legacy, FadingEngine::Counter] {
-        let jobs = scratch(&format!("ident-{engine:?}"));
-        let spec = small_end_to_end(9001, engine);
-        let queue = JobQueue::new(jobs.clone(), 1).unwrap();
-        let job = queue.submit(spec).unwrap();
-        assert!(matches!(
-            job.wait(),
-            JobOutcome::Done {
-                cache_hit: false,
-                ..
-            }
-        ));
-        queue.drain();
+    let jobs = scratch("ident");
+    let spec = small_end_to_end(9001);
+    let queue = JobQueue::new(jobs.clone(), 1).unwrap();
+    let job = queue.submit(spec).unwrap();
+    assert!(matches!(
+        job.wait(),
+        JobOutcome::Done {
+            cache_hit: false,
+            ..
+        }
+    ));
+    queue.drain();
 
-        // The in-process reference: the identical recipe through the
-        // library's own engine-parameterised entry point.
-        let series =
-            end_to_end_series_with_engine(false, 2, 3, 9001, ContentionModel::Graph, engine);
-        let expect = result_bytes(&ExperimentOutput::EndToEnd(series));
-        let got = std::fs::read_to_string(job.dir().join("result.json")).unwrap();
-        assert_eq!(got, expect, "engine {engine:?}");
-        std::fs::remove_dir_all(&jobs).ok();
-    }
+    // The in-process reference: the identical recipe through the
+    // library's own entry point.
+    let series = end_to_end_series(false, 2, 3, 9001, ContentionModel::Graph);
+    let expect = result_bytes(&ExperimentOutput::EndToEnd(series));
+    let got = std::fs::read_to_string(job.dir().join("result.json")).unwrap();
+    assert_eq!(got, expect);
+    std::fs::remove_dir_all(&jobs).ok();
 }
 
 #[test]
-fn legacy_service_run_matches_experiment_spec_run() {
+fn service_run_matches_experiment_spec_run() {
     // The acceptance contract: the service result for a default-knob spec
     // is byte-for-byte the encoding of `ExperimentSpec::run(seed)`.
     let jobs = scratch("spec-run");
-    let spec = small_end_to_end(4242, FadingEngine::Legacy);
+    let spec = small_end_to_end(4242);
     let reference = result_bytes(&spec.experiment.run(spec.seed));
 
     let queue = JobQueue::new(jobs.clone(), 1).unwrap();
@@ -91,7 +86,7 @@ fn legacy_service_run_matches_experiment_spec_run() {
 #[test]
 fn second_submission_is_a_byte_identical_cache_hit() {
     let jobs = scratch("cache");
-    let spec = small_end_to_end(7, FadingEngine::Legacy);
+    let spec = small_end_to_end(7);
 
     let queue = JobQueue::new(jobs.clone(), 1).unwrap();
     let fresh = queue.submit(spec.clone()).unwrap();
@@ -130,7 +125,7 @@ fn second_submission_is_a_byte_identical_cache_hit() {
 #[test]
 fn concurrent_identical_submissions_share_one_job() {
     let jobs = scratch("dedup");
-    let spec = small_end_to_end(55, FadingEngine::Legacy);
+    let spec = small_end_to_end(55);
 
     let queue = JobQueue::new(jobs.clone(), 2).unwrap();
     let first = queue.submit(spec.clone()).unwrap();
@@ -151,7 +146,7 @@ fn concurrent_identical_submissions_share_one_job() {
 #[test]
 fn exceeded_deadline_reports_timeout_and_the_pool_keeps_serving() {
     let jobs = scratch("deadline");
-    let mut doomed = small_end_to_end(11, FadingEngine::Legacy);
+    let mut doomed = small_end_to_end(11);
     doomed.deadline_ms = Some(0); // expired before the first trial
 
     let queue = JobQueue::new(jobs.clone(), 1).unwrap();
@@ -167,9 +162,7 @@ fn exceeded_deadline_reports_timeout_and_the_pool_keeps_serving() {
     );
 
     // The same worker must still serve healthy jobs afterwards.
-    let healthy = queue
-        .submit(small_end_to_end(12, FadingEngine::Legacy))
-        .unwrap();
+    let healthy = queue.submit(small_end_to_end(12)).unwrap();
     assert!(matches!(healthy.wait(), JobOutcome::Done { .. }));
     queue.drain();
     std::fs::remove_dir_all(&jobs).ok();
@@ -202,9 +195,7 @@ fn panicking_job_fails_alone_and_the_pool_keeps_serving() {
     assert_eq!(status.state, JobState::Failed);
     assert!(status.error.unwrap().contains("panicked"));
 
-    let healthy = queue
-        .submit(small_end_to_end(13, FadingEngine::Legacy))
-        .unwrap();
+    let healthy = queue.submit(small_end_to_end(13)).unwrap();
     assert!(matches!(healthy.wait(), JobOutcome::Done { .. }));
     queue.drain();
     std::fs::remove_dir_all(&jobs).ok();
@@ -213,7 +204,7 @@ fn panicking_job_fails_alone_and_the_pool_keeps_serving() {
 #[test]
 fn pre_cancelled_token_stops_the_run_before_any_result() {
     let dir = scratch("cancel").join("job");
-    let spec = small_end_to_end(21, FadingEngine::Legacy);
+    let spec = small_end_to_end(21);
     let token = CancelToken::new();
     token.cancel();
     match run_job(&spec, &dir, &token) {
@@ -227,7 +218,7 @@ fn pre_cancelled_token_stops_the_run_before_any_result() {
 #[test]
 fn round_log_covers_every_trial_and_mac() {
     let jobs = scratch("jsonl");
-    let spec = small_end_to_end(31, FadingEngine::Legacy);
+    let spec = small_end_to_end(31);
     let queue = JobQueue::new(jobs.clone(), 1).unwrap();
     let job = queue.submit(spec).unwrap();
     assert!(matches!(job.wait(), JobOutcome::Done { .. }));
@@ -315,7 +306,7 @@ fn fig16_acceptance_spec_is_byte_identical_to_experiment_spec_run() {
 #[test]
 fn status_lifecycle_timestamps_are_ordered() {
     let jobs = scratch("status");
-    let spec = small_end_to_end(41, FadingEngine::Legacy);
+    let spec = small_end_to_end(41);
     let queue = JobQueue::new(jobs.clone(), 1).unwrap();
     let job = queue.submit(spec.clone()).unwrap();
     assert!(matches!(job.wait(), JobOutcome::Done { .. }));
