@@ -69,6 +69,13 @@ impl DrrScheduler {
         }
     }
 
+    /// Restarts the scheduler for `num_clients` clients with zeroed counters:
+    /// [`new`](Self::new) in place, reusing the counter buffer.
+    pub fn restart(&mut self, num_clients: usize) {
+        self.deficits.clear();
+        self.deficits.resize(num_clients, 0.0);
+    }
+
     /// Resets every counter to zero.
     pub fn reset(&mut self) {
         for d in &mut self.deficits {
@@ -147,6 +154,14 @@ mod tests {
             max / min < 1.05,
             "long-run service counts too unequal: {served_count:?}"
         );
+    }
+
+    #[test]
+    fn restart_equals_a_fresh_scheduler() {
+        let mut s = DrrScheduler::new(3);
+        s.update_after_txop(&[0], &[1, 2], 100);
+        s.restart(5);
+        assert_eq!(s, DrrScheduler::new(5));
     }
 
     #[test]

@@ -10,12 +10,16 @@
 //! — the hidden-terminal protection argument of §3.2.4.
 
 /// Antenna-preference-based packet tags for all clients of one AP.
+///
+/// A client's tags are the first `tag_width` entries of its preference
+/// order, so the table stores only the preferences, flattened row-major:
+/// rebuilding it in place as clients move reuses one buffer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TagTable {
-    /// `tags[c]` = antenna indices tagged for client `c`, strongest first.
-    tags: Vec<Vec<usize>>,
-    /// Full preference order per client (all antennas, strongest first).
-    preferences: Vec<Vec<usize>>,
+    /// `preferences[c * num_antennas..][..num_antennas]` = antenna indices
+    /// of client `c`, strongest first.
+    preferences: Vec<usize>,
+    num_antennas: usize,
     /// How many antennas each client's packets are tagged with.
     tag_width: usize,
 }
@@ -23,38 +27,52 @@ pub struct TagTable {
 impl TagTable {
     /// Builds the tag table from per-client mean RSSI values.
     ///
-    /// `rssi_dbm[c][a]` is the average RSSI of antenna `a` at client `c`.
-    /// `tag_width` antennas are tagged per client (clamped to the antenna
-    /// count); the paper uses 2.
+    /// `rssi_dbm[c][a]` is the average RSSI of antenna `a` at client `c`;
+    /// every row covers the same antennas.  `tag_width` antennas are tagged
+    /// per client (clamped to the antenna count); the paper uses 2.
     pub fn from_rssi(rssi_dbm: &[Vec<f64>], tag_width: usize) -> Self {
         assert!(tag_width >= 1, "tag width must be at least 1");
-        let preferences: Vec<Vec<usize>> = rssi_dbm
-            .iter()
-            .map(|row| {
-                let mut idx: Vec<usize> = (0..row.len()).collect();
-                idx.sort_by(|&a, &b| row[b].partial_cmp(&row[a]).unwrap());
-                idx
-            })
-            .collect();
-        let tags = preferences
-            .iter()
-            .map(|pref| {
-                pref.iter()
-                    .copied()
-                    .take(tag_width.min(pref.len()))
-                    .collect()
-            })
-            .collect();
-        TagTable {
-            tags,
-            preferences,
+        let num_antennas = rssi_dbm.first().map_or(0, Vec::len);
+        assert!(
+            rssi_dbm.iter().all(|row| row.len() == num_antennas),
+            "every client row must cover the same antennas"
+        );
+        let mut table = TagTable {
+            preferences: Vec::with_capacity(rssi_dbm.len() * num_antennas),
+            num_antennas,
             tag_width,
+        };
+        table.rebuild(&rssi_dbm.concat(), num_antennas);
+        table
+    }
+
+    /// Rebuilds the table in place from a flat row-major RSSI buffer —
+    /// `rssi_dbm[c * num_antennas + a]` is the average RSSI of antenna `a`
+    /// at client `c` — keeping the tag width.  Equal to a fresh
+    /// [`from_rssi`](Self::from_rssi) over the same values; the preference
+    /// buffer is reused, so a rebuild that does not outgrow the table's
+    /// high-water mark allocates nothing.
+    pub fn rebuild(&mut self, rssi_dbm: &[f64], num_antennas: usize) {
+        assert!(
+            rssi_dbm.is_empty()
+                || (num_antennas > 0 && rssi_dbm.len().is_multiple_of(num_antennas)),
+            "RSSI buffer is not a whole number of client rows"
+        );
+        self.num_antennas = num_antennas;
+        self.preferences.clear();
+        for row in rssi_dbm.chunks_exact(num_antennas.max(1)) {
+            let start = self.preferences.len();
+            self.preferences.extend(0..num_antennas);
+            self.preferences[start..].sort_by(|&a, &b| row[b].partial_cmp(&row[a]).unwrap());
         }
     }
 
     /// Number of clients covered by the table.
     pub fn num_clients(&self) -> usize {
-        self.tags.len()
+        self.preferences
+            .len()
+            .checked_div(self.num_antennas)
+            .unwrap_or(0)
     }
 
     /// The configured tag width.
@@ -64,23 +82,23 @@ impl TagTable {
 
     /// Antennas tagged for `client`, strongest first.
     pub fn tags_of(&self, client: usize) -> &[usize] {
-        &self.tags[client]
+        &self.preference_of(client)[..self.tag_width.min(self.num_antennas)]
     }
 
     /// Full antenna preference order for `client`, strongest first.
     pub fn preference_of(&self, client: usize) -> &[usize] {
-        &self.preferences[client]
+        &self.preferences[client * self.num_antennas..(client + 1) * self.num_antennas]
     }
 
     /// Whether `client`'s packets may ride on `antenna`.
     pub fn is_tagged(&self, client: usize, antenna: usize) -> bool {
-        self.tags[client].contains(&antenna)
+        self.tags_of(client).contains(&antenna)
     }
 
     /// Whether a packet for `client` is eligible given the set of available
     /// antennas: at least one tagged antenna must be available (§3.2.4).
     pub fn eligible(&self, client: usize, available_antennas: &[usize]) -> bool {
-        self.tags[client]
+        self.tags_of(client)
             .iter()
             .any(|a| available_antennas.contains(a))
     }
@@ -183,6 +201,22 @@ mod tests {
         let t = TagTable::from_rssi(&rssi_fixture(), 2);
         assert_eq!(t.clients_tagged_to(0), vec![0, 3]);
         assert_eq!(t.clients_tagged_to(2), vec![1, 2]);
+    }
+
+    #[test]
+    fn rebuild_in_place_equals_a_fresh_table() {
+        let mut t = TagTable::from_rssi(&rssi_fixture(), 2);
+        // Shrink to two clients, then grow back to the full fixture.
+        let two = vec![
+            vec![-50.0, -40.0, -45.0, -60.0],
+            vec![-41.0, -41.0, -70.0, -42.0],
+        ];
+        t.rebuild(&two.concat(), 4);
+        assert_eq!(t, TagTable::from_rssi(&two, 2));
+        assert_eq!(t.tags_of(0), &[1, 2]);
+        assert_eq!(t.tags_of(1), &[0, 1], "RSSI ties keep antenna order");
+        t.rebuild(&rssi_fixture().concat(), 4);
+        assert_eq!(t, TagTable::from_rssi(&rssi_fixture(), 2));
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //!
 //! The simulator owns one [`DynamicsState`] per run and drives it from its
 //! dynamics stage; this module knows nothing about channels or MAC state —
-//! it only moves points and re-labels `client.ap_id`.
+//! it only moves points (bumping the per-client position version the
+//! simulator's lazy channel refresh keys on) and re-labels `client.ap_id`.
 
 use crate::scale::association::{AssociationPolicy, Reassociator};
 use midas_channel::geometry::Point;
@@ -116,9 +117,10 @@ impl DynamicsSpec {
 
 /// Mutable runtime state of the dynamics layer for one simulation.
 ///
-/// Owns the mobile-client set, waypoint/flow state and the persistent
-/// roaming engine; every buffer is sized at construction and steady-state
-/// steps allocate nothing (waypoint draws are scalar).
+/// Owns the mobile-client set, waypoint/flow state, per-client position
+/// versions and the persistent roaming engine; every buffer is sized at
+/// construction and steady-state steps allocate nothing (waypoint draws are
+/// scalar).
 pub struct DynamicsState {
     rng: SimRng,
     /// Mobile client ids, ascending.
@@ -131,6 +133,8 @@ pub struct DynamicsState {
     dir: Vec<f64>,
     /// Clients that changed position in the latest step.
     moved: Vec<usize>,
+    /// Position version per client, bumped on every move.
+    versions: Vec<u64>,
     /// Snapshot of every client's AP before the latest roaming pass.
     prev_ap: Vec<usize>,
     roam: Reassociator,
@@ -141,7 +145,8 @@ pub struct DynamicsState {
 impl DynamicsState {
     /// Builds the runtime state for `topo`: the mobile subset is drawn from
     /// the dedicated dynamics RNG stream (`seed` is the simulation seed),
-    /// waypoints are initialised, and the roaming index is built.
+    /// waypoints are initialised, and the roaming index is built.  Every
+    /// client starts at position version 0.
     pub fn new(spec: &DynamicsSpec, topo: &Topology, env: &Environment, seed: u64) -> Self {
         let mut rng = SimRng::new(seed).fork(0xD1A);
         let n = topo.clients.len();
@@ -167,6 +172,7 @@ impl DynamicsState {
             targets,
             dir,
             moved: Vec::with_capacity(mobile.len()),
+            versions: vec![0; n],
             prev_ap: topo.clients.iter().map(|c| c.ap_id).collect(),
             mobile,
             roam: Reassociator::new(topo, env),
@@ -176,8 +182,9 @@ impl DynamicsState {
     }
 
     /// Advances every mobile client by one dynamics step of `period_rounds`
-    /// TXOPs, updating `topo` positions and the roaming index, and returns
-    /// the ids of the clients that actually moved (ascending).
+    /// TXOPs, updating `topo` positions and bumping each mover's position
+    /// version, and returns the ids of the clients that actually moved
+    /// (ascending).
     pub fn step_mobility(&mut self, spec: &DynamicsSpec, topo: &mut Topology) -> &[usize] {
         self.moved.clear();
         let Some(model) = spec.mobility else {
@@ -228,7 +235,7 @@ impl DynamicsState {
             };
             if next != pos {
                 topo.clients[cid].position = next;
-                self.roam.move_client(cid, next);
+                self.versions[cid] += 1;
                 self.moved.push(cid);
             }
         }
@@ -266,6 +273,13 @@ impl DynamicsState {
         &self.moved
     }
 
+    /// Every client's position version: the number of moves it has made.
+    /// Channel state derived from a client's position is current exactly
+    /// when it was derived at the client's current version.
+    pub fn position_versions(&self) -> &[u64] {
+        &self.versions
+    }
+
     /// The AP `client` was associated with before the latest
     /// [`step_roaming`](DynamicsState::step_roaming) pass.
     pub fn previous_ap(&self, client: usize) -> usize {
@@ -291,6 +305,7 @@ impl DynamicsState {
             + self.pause_left.capacity() * size_of::<usize>()
             + self.dir.capacity() * size_of::<f64>()
             + self.moved.capacity() * size_of::<usize>()
+            + self.versions.capacity() * size_of::<u64>()
             + self.prev_ap.capacity() * size_of::<usize>()
             + self.roam.heap_footprint_bytes()
     }
@@ -324,6 +339,8 @@ mod tests {
             for _ in 0..50 {
                 state.step_mobility(&spec, &mut topo);
             }
+            let versions: u64 = state.position_versions().iter().sum();
+            assert_eq!(versions, state.moves_total() as u64, "one version per move");
             (
                 topo.clients.iter().map(|c| c.position).collect::<Vec<_>>(),
                 state.moves_total(),

@@ -35,6 +35,26 @@ pub enum AssociationPolicy {
     },
 }
 
+/// Distance from `p` to the nearest antenna of `ap` (chassis included) — or
+/// to the chassis alone when `chassis_only`.
+fn best_distance(topo: &Topology, ap_id: usize, p: &Point, chassis_only: bool) -> f64 {
+    let ap = &topo.aps[ap_id];
+    let chassis = ap.position.distance(p);
+    if chassis_only {
+        chassis
+    } else {
+        ap.antennas
+            .iter()
+            .map(|a| a.distance(p))
+            .fold(chassis, f64::min)
+    }
+}
+
+/// Mean RSSI (dBm) at distance `d` under `env`.
+fn rssi_at(env: &Environment, d: f64) -> f64 {
+    env.tx_power_dbm - env.path_loss.path_loss_db(d)
+}
+
 /// Mean RSSI (dBm) of the best antenna of `ap` at `p` under `env` — or of
 /// the chassis itself when `chassis_only`.
 fn best_rssi_dbm(
@@ -44,16 +64,7 @@ fn best_rssi_dbm(
     p: &Point,
     chassis_only: bool,
 ) -> f64 {
-    let ap = &topo.aps[ap_id];
-    let d = if chassis_only {
-        ap.position.distance(p)
-    } else {
-        ap.antennas
-            .iter()
-            .map(|a| a.distance(p))
-            .fold(ap.position.distance(p), f64::min)
-    };
-    env.tx_power_dbm - env.path_loss.path_loss_db(d)
+    rssi_at(env, best_distance(topo, ap_id, p, chassis_only))
 }
 
 /// Re-associates every client of `topo` under `policy`.
@@ -145,11 +156,21 @@ pub fn associate(topo: &mut Topology, env: &Environment, policy: AssociationPoli
 ///
 /// [`associate`] rebuilds its candidate index on every call — fine for
 /// one-shot topology generation, wasteful when the dynamics layer
-/// re-associates every round.  `Reassociator` keeps a persistent
-/// [`SpatialIndex`] over the *client* positions, updated incrementally via
-/// [`SpatialIndex::move_point`] as the mobility layer moves clients, and
-/// reuses its candidate/scratch buffers across rounds, so steady-state
-/// roaming allocates nothing.
+/// re-associates every round.  `Reassociator` builds one static
+/// [`SpatialIndex`] over every AP chassis and antenna position (APs never
+/// move) and reuses its scratch buffers across rounds, so steady-state
+/// roaming allocates nothing and needs no notice of client moves: each pass
+/// reads the current positions from the topology.
+///
+/// ## Candidate pruning
+///
+/// Path loss is monotone in distance, so an AP with no antenna (or chassis)
+/// closer than the incumbent's scoring distance cannot out-score the
+/// incumbent.  Each client therefore queries the index once, within the
+/// smaller of that distance and the candidate radius.  Every AP that could
+/// change a decision is still seen, whatever the policy or hysteresis, so
+/// the pruned pass decides exactly as a scan over every AP within the
+/// candidate radius would (pinned by `proptest_scale.rs`).
 ///
 /// ## Handoff semantics
 ///
@@ -171,48 +192,44 @@ pub fn associate(topo: &mut Topology, env: &Environment, policy: AssociationPoli
 /// [`AntennaAware`]: AssociationPolicy::AntennaAware
 /// [`LoadBalanced`]: AssociationPolicy::LoadBalanced
 pub struct Reassociator {
-    clients: SpatialIndex,
+    /// Every AP chassis and antenna position, inserted AP by AP, so
+    /// ascending point ids map to non-decreasing AP ids.
+    points: SpatialIndex,
+    /// Point id → owning AP id.
+    owner: Vec<u32>,
     candidate_radius: f64,
-    /// Candidate AP ids per client, rebuilt each pass from the index.
-    candidates: Vec<Vec<u32>>,
     loads: Vec<usize>,
+    /// Query scratch, sized for every indexed point up front.
     scratch: Vec<usize>,
 }
 
 impl Reassociator {
-    /// Builds the persistent client index for `topo` (client ids are the
-    /// index ids).
+    /// Builds the static AP-position index for `topo`.
     pub fn new(topo: &Topology, env: &Environment) -> Self {
-        let mut clients = SpatialIndex::new(topo.region, env.coverage_range_m().max(1.0));
-        for c in &topo.clients {
-            clients.insert(c.position);
+        let mut points = SpatialIndex::new(topo.region, env.coverage_range_m().max(1.0));
+        let mut owner = Vec::new();
+        for ap in &topo.aps {
+            for &p in std::iter::once(&ap.position).chain(&ap.antennas) {
+                points.insert(p);
+                owner.push(ap.ap_id as u32);
+            }
         }
         Reassociator {
-            clients,
+            scratch: Vec::with_capacity(owner.len()),
+            points,
+            owner,
             candidate_radius: 2.0 * env.coverage_range_m(),
-            candidates: vec![Vec::new(); topo.clients.len()],
-            loads: Vec::new(),
-            scratch: Vec::new(),
+            loads: vec![0; topo.aps.len()],
         }
     }
 
-    /// Mirrors a client move into the persistent index (incremental
-    /// [`SpatialIndex::move_point`], not clear+rebuild).
-    pub fn move_client(&mut self, client_id: usize, p: Point) {
-        self.clients.move_point(client_id, p);
-    }
-
-    /// Bytes of heap the roaming engine retains; stable once warm.
+    /// Bytes of heap the roaming engine retains; fixed at construction.
     pub fn heap_footprint_bytes(&self) -> usize {
-        self.clients.heap_footprint_bytes()
-            + self.candidates.capacity() * std::mem::size_of::<Vec<u32>>()
-            + self
-                .candidates
-                .iter()
-                .map(|c| c.capacity() * std::mem::size_of::<u32>())
-                .sum::<usize>()
-            + self.loads.capacity() * std::mem::size_of::<usize>()
-            + self.scratch.capacity() * std::mem::size_of::<usize>()
+        use std::mem::size_of;
+        self.points.heap_footprint_bytes()
+            + self.owner.capacity() * size_of::<u32>()
+            + self.loads.capacity() * size_of::<usize>()
+            + self.scratch.capacity() * size_of::<usize>()
     }
 
     /// One incumbent-aware re-association pass over every client (in client
@@ -227,21 +244,6 @@ impl Reassociator {
         if topo.aps.is_empty() || topo.clients.is_empty() {
             return 0;
         }
-        for c in &mut self.candidates {
-            c.clear();
-        }
-        // Reversed candidate discovery: one query of the (moving) client
-        // index per static antenna/chassis position, instead of rebuilding
-        // an antenna index and querying it per client.
-        for ap in &topo.aps {
-            for pos in std::iter::once(&ap.position).chain(ap.antennas.iter()) {
-                self.clients
-                    .neighbors_within_into(pos, self.candidate_radius, &mut self.scratch);
-                for &cid in &self.scratch {
-                    self.candidates[cid].push(ap.ap_id as u32);
-                }
-            }
-        }
         self.loads.clear();
         self.loads.resize(topo.aps.len(), 0);
         for c in &topo.clients {
@@ -254,15 +256,29 @@ impl Reassociator {
         for cid in 0..topo.clients.len() {
             let p = topo.clients[cid].position;
             let incumbent = topo.clients[cid].ap_id;
-            let cands = &mut self.candidates[cid];
-            cands.sort_unstable();
-            cands.dedup();
+            let incumbent_d = best_distance(topo, incumbent, &p, chassis_only);
+            let incumbent_rssi = rssi_at(env, incumbent_d);
+            self.points.neighbors_within_into(
+                &p,
+                incumbent_d.min(self.candidate_radius),
+                &mut self.scratch,
+            );
+            // Ascending point ids visit each candidate AP in one run.
+            let owner = &self.owner;
+            let candidates = || {
+                let mut last = u32::MAX;
+                self.scratch.iter().filter_map(move |&id| {
+                    let ap = owner[id];
+                    (ap != last).then(|| {
+                        last = ap;
+                        ap as usize
+                    })
+                })
+            };
 
-            let incumbent_rssi = best_rssi_dbm(env, topo, incumbent, &p, chassis_only);
             let mut best_ap = incumbent;
             let mut best_rssi = incumbent_rssi;
-            for &ap in cands.iter() {
-                let ap = ap as usize;
+            for ap in candidates() {
                 if ap == incumbent {
                     continue;
                 }
@@ -282,8 +298,7 @@ impl Reassociator {
                     // same total order the fresh pass uses.
                     let mut pick = best_ap;
                     let mut pick_load = self.loads[best_ap];
-                    for &ap in cands.iter() {
-                        let ap = ap as usize;
+                    for ap in candidates() {
                         let s = best_rssi_dbm(env, topo, ap, &p, chassis_only);
                         if s >= best_rssi - hysteresis && (self.loads[ap], ap) < (pick_load, pick) {
                             pick = ap;
@@ -462,10 +477,10 @@ mod tests {
         let (mut topo, env) = grid_topology(23);
         associate(&mut topo, &env, AssociationPolicy::AntennaAware);
         let mut roam = Reassociator::new(&topo, &env);
-        // Walk client 0 across the floor to the far corner.
+        // Walk client 0 across the floor to the far corner; the pass reads
+        // the new position straight from the topology.
         let far = Point::new(topo.region.max.x - 1.0, topo.region.max.y - 1.0);
         topo.clients[0].position = far;
-        roam.move_client(0, far);
         let handoffs = roam.reassociate(&mut topo, &env, AssociationPolicy::AntennaAware, 0.0);
         assert!(handoffs >= 1, "a cross-floor move must hand off");
         let own = best_rssi_dbm(&env, &topo, topo.clients[0].ap_id, &far, false);

@@ -122,50 +122,6 @@ impl SpatialIndex {
         id
     }
 
-    /// Moves an existing point to a new position, updating its cell
-    /// membership incrementally — O(cell occupancy) instead of the
-    /// clear+rebuild a naive caller would pay per round.
-    ///
-    /// Queries stay bit-identical to a rebuilt index: results are sorted by
-    /// id on the way out, so the within-cell order perturbation from the
-    /// `swap_remove` is unobservable.
-    pub fn move_point(&mut self, id: usize, p: Point) {
-        let old_cell = {
-            let (col, row) = self.cell_of(&self.points[id]);
-            row * self.cols + col
-        };
-        self.points[id] = p;
-        let (col, row) = self.cell_of(&p);
-        let new_cell = row * self.cols + col;
-        if new_cell == old_cell {
-            return;
-        }
-        let cell = &mut self.cells[old_cell];
-        let pos = cell
-            .iter()
-            .position(|&x| x as usize == id)
-            .expect("moved id is indexed in its old cell");
-        cell.swap_remove(pos);
-        if self.cells[new_cell].is_empty() {
-            // A cell that oscillates between empty and occupied is
-            // re-recorded on every empty→occupied transition, so `touched`
-            // accumulates duplicates (and entries for cells that emptied
-            // again).  Compact before the list would outgrow the number of
-            // cells that can actually be occupied — at most one per point —
-            // so it never reallocates once warm: amortized O(1) per move,
-            // and the index footprint stays flat over any move sequence.
-            let bound = self.points.len().min(self.cells.len()).max(1);
-            if self.touched.len() >= bound {
-                self.touched.sort_unstable();
-                self.touched.dedup();
-                let cells = &self.cells;
-                self.touched.retain(|&c| !cells[c as usize].is_empty());
-            }
-            self.touched.push(new_cell as u32);
-        }
-        self.cells[new_cell].push(id as u32);
-    }
-
     /// Empties the index while keeping every allocation (grid, per-cell id
     /// lists, point list).  Only the occupied cells are visited, so a
     /// clear-and-refill round costs O(points), not O(grid cells) — this is
@@ -379,56 +335,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn move_point_matches_a_rebuilt_index() {
-        let region = Rect::new(Point::new(0.0, 0.0), 80.0, 60.0);
-        let mut rng = SimRng::new(11);
-        let mut pts = random_points(40, &region, &mut rng);
-        let mut index = SpatialIndex::from_points(region, 12.0, &pts);
-        for step in 0..200 {
-            let id = rng.uniform_usize(pts.len());
-            let p = Point::new(
-                rng.uniform_range(-10.0, 90.0),
-                rng.uniform_range(-10.0, 70.0),
-            );
-            pts[id] = p;
-            index.move_point(id, p);
-            let q = Point::new(rng.uniform_range(0.0, 80.0), rng.uniform_range(0.0, 60.0));
-            let r = rng.uniform_range(0.0, 40.0);
-            assert_eq!(
-                index.neighbors_within(&q, r),
-                SpatialIndex::brute_force_within(&pts, &q, r),
-                "step {step}"
-            );
-        }
-        assert_eq!(index.points(), pts.as_slice());
-    }
-
-    #[test]
-    fn move_point_does_not_grow_the_footprint() {
-        let region = Rect::new(Point::new(0.0, 0.0), 60.0, 60.0);
-        let mut rng = SimRng::new(13);
-        let pts = random_points(32, &region, &mut rng);
-        let mut index = SpatialIndex::from_points(region, 10.0, &pts);
-        // Cycle every point through a fixed set of anchor cells; after one
-        // full cycle every visited cell has seen its maximum occupancy, so a
-        // second identical cycle must leave the footprint flat.
-        let anchors: Vec<Point> = (0..8)
-            .map(|i| Point::new(5.0 + (i % 4) as f64 * 15.0, 5.0 + (i / 4) as f64 * 30.0))
-            .collect();
-        let cycle = |index: &mut SpatialIndex| {
-            for &anchor in &anchors {
-                for id in 0..pts.len() {
-                    index.move_point(id, anchor);
-                }
-            }
-        };
-        cycle(&mut index);
-        let warm = index.heap_footprint_bytes();
-        cycle(&mut index);
-        assert_eq!(index.heap_footprint_bytes(), warm);
     }
 
     #[test]

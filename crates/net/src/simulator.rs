@@ -254,10 +254,12 @@ impl TopologyResult {
 /// fading stage knows which rows the round will read).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageTimings {
-    /// Dynamics: mobility, large-scale refresh, roaming and the MAC-state
-    /// rebuilds they trigger (0.0 when dynamics are off).
+    /// Dynamics: mobility, roaming and the MAC-state rebuilds they trigger,
+    /// including the large-scale refresh of re-tagged own rows (0.0 when
+    /// dynamics are off).
     pub dynamics_s: f64,
-    /// Channel evolution (lazy keyed catch-up of the rows the round reads).
+    /// Channel evolution: lazy large-scale refresh and keyed catch-up of
+    /// the rows the round reads.
     pub evolve_s: f64,
     /// Carrier sensing against the antennas already on the air.
     pub sense_s: f64,
@@ -403,6 +405,9 @@ struct RoundWorkspace {
     /// an own client moved (tags rebuilt).
     dirty_membership: Vec<bool>,
     dirty_tags: Vec<bool>,
+    /// Dynamics-stage scratch: one AP's own-client mean RSSI table,
+    /// row-major (client × antenna), for the in-place tag rebuild.
+    rssi: Vec<f64>,
     /// Flattened interfering-transmission ids of every stream this round,
     /// in stream order (gather stage output, evaluate stage input).
     stream_interferers: Vec<usize>,
@@ -483,6 +488,7 @@ impl RoundWorkspace {
             + self.local_of.capacity() * size_of::<u32>()
             + self.dirty_membership.capacity() * size_of::<bool>()
             + self.dirty_tags.capacity() * size_of::<bool>()
+            + self.rssi.capacity() * size_of::<f64>()
             + self.stream_interferers.capacity() * size_of::<usize>()
             + self.stream_bounds.capacity() * size_of::<usize>()
             + self.touched.capacity() * size_of::<(u32, u32)>()
@@ -511,11 +517,37 @@ struct ApChannel {
     /// round before the row is read.  Starts at 0 (the initial realisation
     /// has seen no evolution).
     next_boundary: Vec<u64>,
+    /// Per-row position version of the large-scale gains: a row whose entry
+    /// differs from its client's current version (see
+    /// [`DynamicsState::position_versions`]) has gains from an older
+    /// position and is refreshed just before it is read.  Empty when
+    /// dynamics are off (positions never change).
+    g_version: Vec<u64>,
 }
 
 impl ApChannel {
     fn row(&self, client: usize) -> usize {
         self.row_of[client].expect("channel row requested for an out-of-range client") as usize
+    }
+
+    /// Brings `client`'s large-scale gains to position version `version`
+    /// (the client now at `position`), rescaling its row once by
+    /// `g_now / g_then`.  Returns whether the row was stale.
+    fn sync_large_scale(
+        &mut self,
+        model: &ChannelModel,
+        antennas: &[Point],
+        client: usize,
+        position: &Point,
+        version: u64,
+    ) -> bool {
+        let row = self.row(client);
+        if self.g_version[row] == version {
+            return false;
+        }
+        model.refresh_large_scale_row(&mut self.ch, row, antennas, position);
+        self.g_version[row] = version;
+        true
     }
 
     /// Mean RSSI (dBm) of a global client from AP-local antenna `k`.
@@ -565,6 +597,8 @@ pub struct NetworkSimulator {
     /// Long-horizon dynamics runtime state; `Some` iff
     /// `config.dynamics.is_some()`.
     dynamics: Option<DynamicsState>,
+    /// Large-scale row refreshes performed so far (work counter).
+    large_scale_refreshes: usize,
 }
 
 impl NetworkSimulator {
@@ -628,10 +662,16 @@ impl NetworkSimulator {
                     row_of[c] = Some(row as u32);
                 }
                 let next_boundary = vec![0; visible.len()];
+                let g_version = if dense_rows {
+                    vec![0; visible.len()]
+                } else {
+                    Vec::new()
+                };
                 ApChannel {
                     ch,
                     row_of,
                     next_boundary,
+                    g_version,
                 }
             })
             .collect();
@@ -673,6 +713,7 @@ impl NetworkSimulator {
             eager_counter_evolve: false,
             profile_stages: false,
             dynamics,
+            large_scale_refreshes: 0,
         }
     }
 
@@ -840,26 +881,31 @@ impl NetworkSimulator {
         self.workspace = ws;
     }
 
-    /// Pipeline stage 0 — dynamics: client mobility, large-scale channel
-    /// refresh, roaming, and the MAC-state rebuilds those trigger.  A
-    /// no-op (and never installed) when `config.dynamics` is `None`, so
-    /// static runs are byte-identical to the pre-dynamics simulator.
+    /// Pipeline stage 0 — dynamics: client mobility, roaming, and the
+    /// MAC-state rebuilds those trigger.  A no-op (and never installed)
+    /// when `config.dynamics` is `None`, so static runs are byte-identical
+    /// to the pre-dynamics simulator.
     ///
     /// Per step (every `period_rounds`, never at round 0):
-    /// 1. Mobility moves the mobile clients ([`DynamicsState::step_mobility`])
-    ///    and each moved client's row in every AP channel is rescaled to
-    ///    the large-scale gain at its new position
-    ///    ([`ChannelModel::refresh_large_scale_row`]) — the fading phase is
-    ///    preserved and no sequential RNG is consumed, so the static
-    ///    pipeline's draw order is untouched.
+    /// 1. Mobility moves the mobile clients and bumps their position
+    ///    versions ([`DynamicsState::step_mobility`]).  No channel row is
+    ///    touched here: a row's large-scale gains are refreshed
+    ///    ([`ChannelModel::refresh_large_scale_row`]) only when something
+    ///    reads it — the tag rebuild below, or the fading stage for the
+    ///    rows the round reads.  The refresh preserves the fading phase and
+    ///    consumes no sequential RNG, so the static pipeline's draw order is
+    ///    untouched.
     /// 2. Roaming re-associates clients with hysteresis
-    ///    ([`DynamicsState::step_roaming`]).
+    ///    ([`DynamicsState::step_roaming`]); it reads positions, not
+    ///    channel rows.
     /// 3. The MAC-facing views are repaired: the workspace's ownership maps
     ///    are rebuilt when any client handed off, DRR restarts for APs whose
     ///    membership changed (a handoff is a fresh association), and tag
-    ///    tables are rebuilt for any AP whose own-client RSSI picture moved.
+    ///    tables are rebuilt in place for any AP whose own-client RSSI
+    ///    picture moved, after refreshing that AP's stale own rows.
     ///
     /// [`ChannelModel::refresh_large_scale_row`]: midas_channel::ChannelModel::refresh_large_scale_row
+    // lint: no_alloc — steady-state stage: scratch lives in RoundWorkspace (long-horizon footprint pin)
     fn dynamics_stage(&mut self, round: usize, ws: &mut RoundWorkspace) {
         let Some(spec) = self.config.dynamics else {
             return;
@@ -872,23 +918,8 @@ impl NetworkSimulator {
             return;
         }
 
-        // 1. Move, then rescale the moved clients' gains everywhere.
+        // 1. Move.  2. Roam.
         state.step_mobility(&spec, &mut self.topo);
-        for &cid in state.moved() {
-            let p = self.topo.clients[cid].position;
-            for (ap_id, apch) in self.channels.iter_mut().enumerate() {
-                if let Some(row) = apch.row_of[cid] {
-                    self.model.refresh_large_scale_row(
-                        &mut apch.ch,
-                        row as usize,
-                        &self.topo.aps[ap_id].antennas,
-                        &p,
-                    );
-                }
-            }
-        }
-
-        // 2. Roam.
         state.step_roaming(&spec, &mut self.topo, &self.config.env);
 
         // 3. Repair the MAC-facing views of whatever changed.
@@ -915,23 +946,25 @@ impl NetworkSimulator {
                 ws.own_clients[c.ap_id].push(c.id);
             }
         }
+        let versions = state.position_versions();
         for ap_id in 0..num_aps {
             let membership = ws.dirty_membership[ap_id];
             if membership {
-                self.drr[ap_id] = DrrScheduler::new(ws.own_clients[ap_id].len());
+                self.drr[ap_id].restart(ws.own_clients[ap_id].len());
             }
             if membership || ws.dirty_tags[ap_id] {
-                let ap = &self.topo.aps[ap_id];
-                let ch = &self.channels[ap_id];
-                let rssi: Vec<Vec<f64>> = ws.own_clients[ap_id]
-                    .iter()
-                    .map(|&c| {
-                        (0..ap.num_antennas())
-                            .map(|k| ch.mean_rssi_dbm(c, k))
-                            .collect()
-                    })
-                    .collect();
-                self.tags[ap_id] = TagTable::from_rssi(&rssi, self.config.tag_width);
+                let antennas = &self.topo.aps[ap_id].antennas;
+                let apch = &mut self.channels[ap_id];
+                ws.rssi.clear();
+                for &c in &ws.own_clients[ap_id] {
+                    let position = &self.topo.clients[c].position;
+                    if apch.sync_large_scale(&self.model, antennas, c, position, versions[c]) {
+                        self.large_scale_refreshes += 1;
+                    }
+                    ws.rssi
+                        .extend((0..antennas.len()).map(|k| apch.mean_rssi_dbm(c, k)));
+                }
+                self.tags[ap_id].rebuild(&ws.rssi, antennas.len());
             }
         }
     }
@@ -942,6 +975,14 @@ impl NetworkSimulator {
         self.dynamics
             .as_ref()
             .map(|d| (d.moves_total(), d.handoffs_total()))
+    }
+
+    /// Large-scale channel-row refreshes performed so far — the dynamics
+    /// layer's work counter (0 when dynamics are off).  A row is refreshed
+    /// only when it is read at a stale position version, so this stays far
+    /// below `moves × APs`, the count an eager refresh would pay.
+    pub fn large_scale_refreshes(&self) -> usize {
+        self.large_scale_refreshes
     }
 
     /// Bytes of heap the dynamics layer retains (0 when dynamics are off);
@@ -1164,6 +1205,10 @@ impl NetworkSimulator {
     /// Pipeline stage 5 — fading: brings exactly the channel rows this
     /// round reads up to the current evolution boundary.
     ///
+    /// With dynamics on, a read row whose client moved since the row last
+    /// saw it first gets its large-scale gains refreshed to the client's
+    /// current position — one rescale however many steps it missed.
+    ///
     /// The active set is the union of each live slot's serving rows and
     /// each stream's interferer rows (from the gather stage): those — and
     /// only those — feed the precode and evaluate stages.  Rows not in the
@@ -1239,6 +1284,25 @@ impl NetworkSimulator {
         }
         touched.sort_unstable();
         touched.dedup();
+
+        // Rows read this round must carry the large-scale gains of their
+        // client's current position before the catch-up below reads them
+        // (serially, so the parallel phase A stays read-only).
+        if let Some(state) = &self.dynamics {
+            let versions = state.position_versions();
+            for &(ap, client) in touched.iter() {
+                let (ap, client) = (ap as usize, client as usize);
+                if self.channels[ap].sync_large_scale(
+                    &self.model,
+                    &self.topo.aps[ap].antennas,
+                    client,
+                    &self.topo.clients[client].position,
+                    versions[client],
+                ) {
+                    self.large_scale_refreshes += 1;
+                }
+            }
+        }
 
         let threads = self.config.evolve_threads.max(1).min(touched.len().max(1));
         if threads <= 1 {
@@ -1523,6 +1587,61 @@ mod tests {
         // double-counted.
         let sum: f64 = stages.iter().map(|(_, s)| s).sum();
         assert_eq!(sum, timings.total_s());
+    }
+
+    #[test]
+    fn rows_are_refreshed_to_the_current_position_exactly_when_read() {
+        use crate::scale::grid::FloorGrid;
+        use midas_channel::topology::TopologyConfig;
+        let topo = FloorGrid::new(4, 2, 15.0)
+            .generate(&TopologyConfig::das(4, 4), &mut SimRng::new(41))
+            .expect("valid grid");
+        let mut config = NetworkSimConfig::midas(Environment::open_plan(), 41);
+        config.dynamics = Some(DynamicsSpec::roaming_walk(250.0));
+        let mut stale_rows_seen = false;
+        for rounds in 1..=8 {
+            config.rounds = rounds;
+            let mut sim = NetworkSimulator::new(topo.clone(), config);
+            sim.run();
+            // Large-scale gains a fresh refresh at the client's current
+            // position would give (the refresh sets `g` purely from the
+            // positions).
+            let fresh = |ap: usize, client: usize| {
+                let apch = &sim.channels[ap];
+                let row = apch.row(client);
+                let mut ch = apch.ch.clone();
+                let position = &sim.topo.clients[client].position;
+                sim.model.refresh_large_scale_row(
+                    &mut ch,
+                    row,
+                    &sim.topo.aps[ap].antennas,
+                    position,
+                );
+                ch.large_scale.row(row).to_vec()
+            };
+            let current = |ap: usize, client: usize| {
+                let apch = &sim.channels[ap];
+                apch.ch.large_scale.row(apch.row(client)).to_vec()
+            };
+            let ws = &sim.workspace;
+            let own = ws
+                .own_clients
+                .iter()
+                .enumerate()
+                .flat_map(|(ap, clients)| clients.iter().map(move |&c| (ap, c)));
+            let read = ws.touched.iter().map(|&(ap, c)| (ap as usize, c as usize));
+            for (ap, client) in own.chain(read) {
+                assert_eq!(
+                    current(ap, client),
+                    fresh(ap, client),
+                    "{rounds} rounds: row (ap {ap}, client {client}) is stale"
+                );
+            }
+            // And the refresh really is lazy: some row nobody read is stale.
+            stale_rows_seen |= (0..sim.topo.aps.len())
+                .any(|ap| (0..sim.topo.clients.len()).any(|c| current(ap, c) != fresh(ap, c)));
+        }
+        assert!(stale_rows_seen, "every row was refreshed: not lazy");
     }
 
     #[test]

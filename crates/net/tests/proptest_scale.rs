@@ -12,7 +12,9 @@ use midas_channel::topology::{Topology, TopologyConfig};
 use midas_channel::{Environment, SimRng};
 use midas_net::contention::ContentionGraph;
 use midas_net::scale::grid::ClientPlacement;
-use midas_net::scale::{associate, AssociationPolicy, FloorGrid, Scenario, SpatialIndex};
+use midas_net::scale::{
+    associate, AssociationPolicy, FloorGrid, Reassociator, Scenario, SpatialIndex,
+};
 use midas_net::simulator::{MacKind, NetworkSimulator, ScanMode};
 use proptest::prelude::*;
 
@@ -285,6 +287,136 @@ proptest! {
                 "client {} took a non-minimal (load, ap) pair", c.id
             );
             loads[c.ap_id] += 1;
+        }
+    }
+}
+
+/// Brute-force roaming reference: one incumbent-aware pass that scores
+/// *every* AP with an antenna or chassis inside the candidate radius, under
+/// the rule `Reassociator::reassociate` documents.  Returns the handoffs.
+fn brute_force_reassociate(
+    topo: &mut Topology,
+    env: &Environment,
+    policy: AssociationPolicy,
+    hysteresis: f64,
+) -> usize {
+    let chassis_only = policy == AssociationPolicy::NearestAp;
+    let radius = 2.0 * env.coverage_range_m();
+    let nearest = |topo: &Topology, ap: usize, p: &Point| {
+        let chassis = topo.aps[ap].position.distance(p);
+        topo.aps[ap]
+            .antennas
+            .iter()
+            .map(|a| a.distance(p))
+            .fold(chassis, f64::min)
+    };
+    let score = |topo: &Topology, ap: usize, p: &Point| {
+        let d = if chassis_only {
+            topo.aps[ap].position.distance(p)
+        } else {
+            nearest(topo, ap, p)
+        };
+        env.tx_power_dbm - env.path_loss.path_loss_db(d)
+    };
+    let mut loads = vec![0usize; topo.aps.len()];
+    for c in &topo.clients {
+        loads[c.ap_id] += 1;
+    }
+    let mut handoffs = 0;
+    for cid in 0..topo.clients.len() {
+        let p = topo.clients[cid].position;
+        let incumbent = topo.clients[cid].ap_id;
+        let candidates: Vec<usize> = (0..topo.aps.len())
+            .filter(|&ap| nearest(topo, ap, &p) <= radius)
+            .collect();
+        let incumbent_rssi = score(topo, incumbent, &p);
+        let (mut best_ap, mut best) = (incumbent, incumbent_rssi);
+        for &ap in &candidates {
+            let s = score(topo, ap, &p);
+            if ap != incumbent && (s > best || (s == best && ap < best_ap)) {
+                best_ap = ap;
+                best = s;
+            }
+        }
+        if incumbent_rssi >= best - hysteresis {
+            continue;
+        }
+        let pick = match policy {
+            AssociationPolicy::LoadBalanced { .. } => candidates
+                .into_iter()
+                .filter(|&ap| score(topo, ap, &p) >= best - hysteresis)
+                .min_by_key(|&ap| (loads[ap], ap))
+                .expect("the best AP is inside its own window"),
+            _ => best_ap,
+        };
+        if pick != incumbent {
+            loads[incumbent] -= 1;
+            loads[pick] += 1;
+            topo.clients[cid].ap_id = pick;
+            handoffs += 1;
+        }
+    }
+    handoffs
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The pruned roaming pass (one index query per client, cut at the
+    /// incumbent's distance) decides exactly as the brute-force scan over
+    /// every AP: same `ap_id`s and handoff counts over random CAS and DAS
+    /// floors, all three policies, hysteresis 0 and 3 dB, through rounds of
+    /// random client moves — short walks and cross-floor jumps.
+    #[test]
+    fn pruned_roaming_matches_brute_force_over_every_ap(
+        seed in 0u64..1_000_000,
+        cols in 1usize..5,
+        rows in 1usize..4,
+        spacing in 8.0f64..40.0,
+        das in any::<bool>(),
+        policy_sel in 0usize..3,
+        sticky in any::<bool>(),
+    ) {
+        let mut rng = SimRng::new(seed);
+        let grid = random_grid(cols, rows, spacing, seed as usize);
+        let config = if das {
+            TopologyConfig::das(4, 4)
+        } else {
+            TopologyConfig::cas(4, 4)
+        };
+        let mut pruned = grid.generate(&config, &mut rng).expect("valid grid");
+        let env = Environment::open_plan();
+        let policy = [
+            AssociationPolicy::NearestAp,
+            AssociationPolicy::AntennaAware,
+            AssociationPolicy::LoadBalanced { hysteresis_db: 3.0 },
+        ][policy_sel];
+        let hysteresis = if sticky { 3.0 } else { 0.0 };
+        let mut reference = pruned.clone();
+        let mut roam = Reassociator::new(&pruned, &env);
+        let region = pruned.region;
+        for pass in 0..6 {
+            for c in 0..pruned.clients.len() {
+                let p = pruned.clients[c].position;
+                let next = match rng.uniform_usize(4) {
+                    0 => p, // stays put
+                    1 => Point::new(
+                        rng.uniform_range(region.min.x, region.max.x),
+                        rng.uniform_range(region.min.y, region.max.y),
+                    ),
+                    _ => Point::new(
+                        (p.x + rng.uniform_range(-4.0, 4.0)).clamp(region.min.x, region.max.x),
+                        (p.y + rng.uniform_range(-4.0, 4.0)).clamp(region.min.y, region.max.y),
+                    ),
+                };
+                pruned.clients[c].position = next;
+                reference.clients[c].position = next;
+            }
+            let got = roam.reassociate(&mut pruned, &env, policy, hysteresis);
+            let want = brute_force_reassociate(&mut reference, &env, policy, hysteresis);
+            prop_assert_eq!(got, want, "pass {}: handoff counts", pass);
+            let ids = |t: &Topology| t.clients.iter().map(|c| c.ap_id).collect::<Vec<_>>();
+            prop_assert_eq!(ids(&pruned), ids(&reference), "pass {}: ap ids", pass);
         }
     }
 }
