@@ -51,7 +51,7 @@
 //!   rounds (> 1 caches channel realisations — opt-in, changes outputs;
 //!   handy for A/B-profiling the evolve stage).
 
-use midas::experiment::{end_to_end_series, enterprise_scaling};
+use midas::sim::ExperimentSpec;
 use midas_bench::{Cell, Figure, Table, BENCH_SEED};
 use midas_net::capture::ContentionModel;
 use midas_net::dynamics::DynamicsSpec;
@@ -77,6 +77,18 @@ fn env_usize(name: &str, default: usize) -> usize {
         .ok()
         .and_then(|v| v.trim().parse().ok())
         .unwrap_or(default)
+}
+
+/// The Fig. 16 8-AP end-to-end series under the binary graph model.
+fn fig16_graph(topologies: usize, rounds: usize) -> midas::sim::SessionSeries {
+    ExperimentSpec::EndToEnd {
+        eight_aps: true,
+        topologies,
+        rounds,
+        contention: ContentionModel::Graph,
+    }
+    .run(BENCH_SEED)
+    .expect_end_to_end()
 }
 
 /// One timed workload of the snapshot: dimensions for the record plus the
@@ -105,8 +117,7 @@ fn cell_by_name(
             topologies,
             rounds,
             run: Box::new(move || {
-                let s =
-                    end_to_end_series(true, topologies, rounds, BENCH_SEED, ContentionModel::Graph);
+                let s = fig16_graph(topologies, rounds);
                 s.network.cas.iter().sum::<f64>() + s.network.das.iter().sum::<f64>()
             }),
         }
@@ -120,12 +131,13 @@ fn cell_by_name(
             topologies,
             rounds,
             run: Box::new(move || {
-                let s = enterprise_scaling(
-                    &Scenario::enterprise_office(aps),
+                let s = ExperimentSpec::EnterpriseScaling {
+                    scenario: Scenario::enterprise_office(aps),
                     topologies,
                     rounds,
-                    BENCH_SEED,
-                );
+                }
+                .run(BENCH_SEED)
+                .expect_enterprise();
                 s.cas.iter().sum::<f64>() + s.das.iter().sum::<f64>()
             }),
         }
@@ -306,8 +318,8 @@ fn profile(cell_name: &str, rounds: usize) {
         }
         None => {
             // fig16_8ap (or anything unrecognised): the paper-scale workload
-            // through the series runner, rounds stretched for a long loop.
-            let s = end_to_end_series(true, 1, rounds, BENCH_SEED, ContentionModel::Graph);
+            // through its spec, rounds stretched for a long loop.
+            let s = fig16_graph(1, rounds);
             let checksum = s.network.cas.iter().sum::<f64>() + s.network.das.iter().sum::<f64>();
             println!("# profile fig16_8ap: {rounds} rounds, checksum {checksum:.3}");
         }

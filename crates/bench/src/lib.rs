@@ -2,9 +2,9 @@
 //!
 //! Each bench target in `benches/` regenerates one table or figure of the
 //! paper (plus `enterprise_scaling`, which sweeps the beyond-paper
-//! `midas_net::scale` scenario library) by calling the corresponding runner
-//! in `midas::experiment`, builds a structured [`Figure`] from the resulting
-//! series, and emits it through the sink layer ([`sink`]): the classic
+//! `midas_net::scale` scenario library) by running the corresponding
+//! `midas::sim::ExperimentSpec`, builds a structured [`Figure`] from the
+//! resulting series, and emits it through the sink layer ([`sink`]): the classic
 //! console report is always printed, and
 //! when a figure directory is selected (`MIDAS_FIGURE_DIR=<dir>` or
 //! `--figure-dir <dir>`, default `target/figures/`) the same series also land

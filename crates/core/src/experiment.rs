@@ -1,17 +1,23 @@
-//! Experiment runners — one per table/figure of the paper's evaluation (§5).
+//! The recipes behind [`ExperimentSpec`] — one per table/figure of the
+//! paper's evaluation (§5) — plus the result types they return.
 //!
-//! Each function regenerates the data series behind one figure.  All
+//! Each crate-private runner regenerates the data series behind one figure;
+//! [`ExperimentSpec::run`] is the only public way to call them.  All
 //! runners are deterministic in the supplied seed and execute through the
 //! session layer ([`crate::sim`]): the multi-AP experiments compose a
-//! [`PairedRecipe`] / [`Scenario`] topology source into a [`Session`] and
-//! fan trials through the shared [`SeedSweep`] engine, so every series is
-//! bit-identical at any thread count (`MIDAS_THREADS`).  Callers should
-//! prefer driving these through [`crate::sim::ExperimentSpec`] values —
-//! the functions remain as the implementation layer the specs dispatch to.
+//! [`PairedRecipe`] / [`Scenario`] topology source into a session and fan
+//! trials through the shared [`SeedSweep`] engine, so every series is
+//! bit-identical at any thread count (`MIDAS_THREADS`).
+//!
+//! [`ExperimentSpec`]: crate::sim::ExperimentSpec
+//! [`ExperimentSpec::run`]: crate::sim::ExperimentSpec::run
 
 use crate::config::SystemConfig;
 use crate::runner::SeedSweep;
-use crate::sim::{PairedRecipe, Session, SessionBuilder, SessionTrial};
+use crate::sim::session::Tap;
+use crate::sim::{
+    LoadGainRow, PairedRecipe, PairedSamples, SessionBuilder, SessionSeries, SessionTrial,
+};
 use crate::system::SingleApSystem;
 use midas_channel::geometry::{Point, Rect};
 use midas_channel::topology::{single_ap, TopologyConfig};
@@ -22,23 +28,23 @@ use midas_mac::tagging::TagTable;
 use midas_net::capture::{ContentionModel, PhysicalConfig};
 use midas_net::contention::ContentionGraph;
 use midas_net::coverage::{compare_deadzones, DeadzoneComparison};
+use midas_net::dynamics::DynamicsSpec;
 use midas_net::hidden_terminal::{HiddenTerminalComparison, HiddenTerminalScenario};
 use midas_net::scale::scenario::INTERACTION_MARGIN_DB;
 use midas_net::scale::Scenario;
 use midas_net::simulator::MacKind;
 use midas_net::spatial_reuse;
+use midas_net::traffic::TrafficKind;
 use midas_phy::precoder::{
     make_precoder, NaiveScaledPrecoder, OptimalPrecoder, PowerBalancedPrecoder, Precoder,
     PrecoderKind, ZfbfPrecoder,
 };
 use midas_phy::sounding::{SoundingConfig, SoundingProcess};
 
-pub use crate::sim::{PairedSamples, SessionSeries as EndToEndSeries};
-
 /// Fig. 3 — CDF of the capacity *drop* caused by naïve per-antenna power
 /// scaling (unconstrained ZFBF capacity minus naïvely-scaled capacity) for
 /// 4×4 MU-MIMO, CAS vs DAS.
-pub fn fig03_naive_scaling_drop(topologies: usize, seed: u64) -> PairedSamples {
+pub(crate) fn fig03_naive_scaling_drop(topologies: usize, seed: u64) -> PairedSamples {
     let sweep = SeedSweep::new(seed).with_mix(7919, 1);
     PairedSamples::from_pairs(sweep.run(topologies, &|_t: usize, s: u64| {
         let sys = SingleApSystem::generate(&SystemConfig::default(), s);
@@ -54,7 +60,7 @@ pub fn fig03_naive_scaling_drop(topologies: usize, seed: u64) -> PairedSamples {
 /// Fig. 7 — CDF of SISO link SNR (dB) across clients, CAS vs DAS, using the
 /// paper's greedy client→antenna mapping (strongest pair first, each antenna
 /// used once).
-pub fn fig07_link_snr(topologies: usize, seed: u64) -> PairedSamples {
+pub(crate) fn fig07_link_snr(topologies: usize, seed: u64) -> PairedSamples {
     let env = Environment::office_a();
     let session = SessionBuilder::new(PairedRecipe::single_ap(
         env,
@@ -99,7 +105,7 @@ pub fn fig07_link_snr(topologies: usize, seed: u64) -> PairedSamples {
 /// Figs. 8 and 9 — MU-MIMO sum-capacity CDF (bit/s/Hz), CAS (baseline
 /// precoding) vs MIDAS (power-balanced precoding), for the given antenna /
 /// client count and office environment.
-pub fn fig08_09_capacity(
+pub(crate) fn fig08_09_capacity(
     environment: EnvironmentKind,
     antennas: usize,
     topologies: usize,
@@ -134,7 +140,7 @@ pub struct SmartPrecodingSeries {
 }
 
 /// Runs the Fig. 10 experiment (4×4, Office B in the paper).
-pub fn fig10_smart_precoding(topologies: usize, seed: u64) -> SmartPrecodingSeries {
+pub(crate) fn fig10_smart_precoding(topologies: usize, seed: u64) -> SmartPrecodingSeries {
     let config = SystemConfig::default().with_environment(EnvironmentKind::OfficeB);
     let sweep = SeedSweep::new(seed).with_mix(4513, 17);
     let rows = sweep.run(topologies, &|_t: usize, s: u64| {
@@ -162,7 +168,11 @@ pub fn fig10_smart_precoding(topologies: usize, seed: u64) -> SmartPrecodingSeri
 /// optimal precoder.  `stale_csi` reproduces the "testbed" panel, where the
 /// optimal precoder's long compute time means it is applied to an outdated
 /// channel (the paper's explanation for MIDAS occasionally winning).
-pub fn fig11_optimal_comparison(topologies: usize, stale_csi: bool, seed: u64) -> PairedSamples {
+pub(crate) fn fig11_optimal_comparison(
+    topologies: usize,
+    stale_csi: bool,
+    seed: u64,
+) -> PairedSamples {
     // `cas` field holds the optimal precoder series, `das` the MIDAS series.
     let env = Environment::office_a();
     let sounding = SoundingProcess::new(SoundingConfig::default());
@@ -211,7 +221,7 @@ pub fn fig11_optimal_comparison(topologies: usize, stale_csi: bool, seed: u64) -
 /// Fig. 12 — ratio of simultaneous transmissions (MIDAS / CAS) over random
 /// 3-AP topologies.  Each trial derives its own contention RNG from the
 /// mixed trial seed, so the series is independent of execution order.
-pub fn fig12_simultaneous_tx(topologies: usize, seed: u64) -> Vec<f64> {
+pub(crate) fn fig12_simultaneous_tx(topologies: usize, seed: u64) -> Vec<f64> {
     let session = SessionBuilder::new(PairedRecipe::three_ap_paper())
         .seed_mix(1409, 31)
         .build();
@@ -225,7 +235,7 @@ pub fn fig12_simultaneous_tx(topologies: usize, seed: u64) -> Vec<f64> {
 }
 
 /// Fig. 13 / §5.3.3 — dead-zone comparison over random DAS deployments.
-pub fn fig13_deadzones(deployments: usize, seed: u64) -> Vec<DeadzoneComparison> {
+pub(crate) fn fig13_deadzones(deployments: usize, seed: u64) -> Vec<DeadzoneComparison> {
     let env = Environment::office_b();
     let radius = env.coverage_range_m() * 0.9;
     let cfg = TopologyConfig {
@@ -249,7 +259,10 @@ pub fn fig13_deadzones(deployments: usize, seed: u64) -> Vec<DeadzoneComparison>
 
 /// §5.3.4 — hidden-terminal spot comparison over random antenna deployments.
 /// Each deployment draws from an RNG derived from its own mixed trial seed.
-pub fn sec534_hidden_terminals(deployments: usize, seed: u64) -> Vec<HiddenTerminalComparison> {
+pub(crate) fn sec534_hidden_terminals(
+    deployments: usize,
+    seed: u64,
+) -> Vec<HiddenTerminalComparison> {
     let scenario = HiddenTerminalScenario::new(Environment::office_a());
     let sweep = SeedSweep::new(seed).with_mix(523, 89);
     sweep.run(deployments, &|_d: usize, s: u64| {
@@ -262,7 +275,7 @@ pub fn sec534_hidden_terminals(deployments: usize, seed: u64) -> Vec<HiddenTermi
 /// selection vs random client selection, when only 2 of 4 antennas are
 /// available and 4 clients are backlogged.  The `cas` field holds the random
 /// selection, `das` the tagged selection.
-pub fn fig14_packet_tagging(topologies: usize, seed: u64) -> PairedSamples {
+pub(crate) fn fig14_packet_tagging(topologies: usize, seed: u64) -> PairedSamples {
     let config = SystemConfig::default();
     let sweep = SeedSweep::new(seed).with_mix(677, 53);
     PairedSamples::from_pairs(sweep.run(topologies, &|_t: usize, s: u64| {
@@ -318,39 +331,34 @@ pub fn fig14_packet_tagging(topologies: usize, seed: u64) -> PairedSamples {
     }))
 }
 
-/// The [`Session`] behind the Figs. 15 / 16 experiment: the paper layout
-/// recipe ([`PairedRecipe::eight_ap_paper`] / [`three_ap_paper`]) composed
-/// with the given contention model at the historical seed mix.
-///
-/// [`three_ap_paper`]: PairedRecipe::three_ap_paper
-pub fn end_to_end_session(eight_aps: bool, rounds: usize, contention: ContentionModel) -> Session {
-    let recipe = if eight_aps {
-        PairedRecipe::eight_ap_paper()
-    } else {
-        PairedRecipe::three_ap_paper()
-    };
-    SessionBuilder::new(recipe)
-        .rounds(rounds)
-        .contention(contention)
-        .seed_mix(193, 61)
-        .build()
-}
-
 /// Figs. 15 / 16 — end-to-end network capacity of CAS vs MIDAS over random
 /// multi-AP topologies (3-AP testbed layout or 8-AP large-scale layout)
-/// under an explicit contention model; the single model-parameterised
-/// entry point ([`ContentionModel::Graph`] reproduces the legacy
-/// binary-graph series bit-for-bit).  Both MACs run the same model — the
-/// paper's testbed CAS is subject to the same physical carrier sensing and
-/// capture effects as MIDAS, only with co-located vantage points.
-pub fn end_to_end_series(
+/// under an explicit contention model ([`ContentionModel::Graph`]
+/// reproduces the legacy binary-graph series bit-for-bit).  Both MACs run
+/// the same model — the paper's testbed CAS is subject to the same physical
+/// carrier sensing and capture effects as MIDAS, only with co-located
+/// vantage points.  `configure` adjusts the figure-pinned session and `tap`
+/// observes every simulation (see
+/// [`ExperimentSpec::run_observed`](crate::sim::ExperimentSpec::run_observed)).
+pub(crate) fn end_to_end_series(
     eight_aps: bool,
     topologies: usize,
     rounds: usize,
     seed: u64,
     contention: ContentionModel,
-) -> EndToEndSeries {
-    end_to_end_session(eight_aps, rounds, contention).run(topologies, seed)
+    configure: impl FnOnce(SessionBuilder) -> SessionBuilder,
+    tap: Option<&Tap<'_>>,
+) -> Option<SessionSeries> {
+    let recipe = if eight_aps {
+        PairedRecipe::eight_ap_paper()
+    } else {
+        PairedRecipe::three_ap_paper()
+    };
+    let builder = SessionBuilder::new(recipe)
+        .rounds(rounds)
+        .contention(contention)
+        .seed_mix(193, 61);
+    configure(builder).build().run_series(topologies, seed, tap)
 }
 
 /// The Fig. 16 headline band the calibration scores against: the median
@@ -429,7 +437,7 @@ impl CalibrationCell {
 /// gain against the paper's Fig. 16 band.  Cells are returned in grid order
 /// (thresholds outermost); [`best_calibration_cell`] picks the winner that
 /// [`PhysicalConfig::calibrated`] promotes.
-pub fn fig16_calibration(
+pub(crate) fn fig16_calibration(
     grid: &CalibrationGrid,
     topologies: usize,
     rounds: usize,
@@ -450,7 +458,10 @@ pub fn fig16_calibration(
                     rounds,
                     seed,
                     ContentionModel::Physical(config),
-                );
+                    |builder| builder,
+                    None,
+                )
+                .expect("an untapped run never stops");
                 let median = |v: &[f64]| midas_net::metrics::Cdf::new(v).median();
                 let cas_network_median = median(&s.network.cas);
                 let das_network_median = median(&s.network.das);
@@ -521,19 +532,22 @@ pub struct EnterpriseScalingSeries {
 /// MIDAS capacity of a named [`Scenario`] (`midas_net::scale`) over random
 /// floor realisations at the given AP count.  Runs with the finite
 /// interaction range that activates the spatial-index scan truncation, which
-/// is what keeps 64-AP / 512-client floors tractable.
-pub fn enterprise_scaling(
+/// is what keeps 64-AP / 512-client floors tractable.  `configure` and `tap`
+/// as in [`end_to_end_series`].
+pub(crate) fn enterprise_scaling(
     scenario: &Scenario,
     topologies: usize,
     rounds: usize,
     seed: u64,
-) -> EnterpriseScalingSeries {
+    configure: impl FnOnce(SessionBuilder) -> SessionBuilder,
+    tap: Option<&Tap<'_>>,
+) -> Option<EnterpriseScalingSeries> {
     let env = scenario.environment();
-    let session = SessionBuilder::new(*scenario)
+    let builder = SessionBuilder::new(*scenario)
         .rounds(rounds)
-        .seed_mix(1021, 101)
-        .build();
-    let rows = session.run_trials(topologies, seed, &|trial: &SessionTrial<'_>| {
+        .seed_mix(1021, 101);
+    let session = configure(builder).build();
+    let rows = session.run_tapped(topologies, seed, tap, |trial, simulate| {
         // Structural diagnostic: range-limited AP contention degree of the
         // DAS deployment (same frozen shadowing field as the simulator).
         let graph = ContentionGraph::new(env, trial.seed() ^ 0x5151);
@@ -546,8 +560,8 @@ pub fn enterprise_scaling(
             .map(|row| row.iter().filter(|&&x| x).count())
             .sum::<usize>() as f64
             / adjacency.len().max(1) as f64;
-        let cas = trial.simulate(MacKind::Cas);
-        let das = trial.simulate(MacKind::Midas);
+        let cas = simulate(MacKind::Cas);
+        let das = simulate(MacKind::Midas);
         (
             cas.mean_capacity(),
             das.mean_capacity(),
@@ -557,7 +571,7 @@ pub fn enterprise_scaling(
             das.per_ap_duty_cycle(),
             degree,
         )
-    });
+    })?;
     let mut out = EnterpriseScalingSeries::default();
     for (cas, das, cas_streams, das_streams, per_ap_cap, per_ap_duty, degree) in rows {
         out.cas.push(cas);
@@ -568,12 +582,61 @@ pub fn enterprise_scaling(
         out.das_per_ap_duty.extend(per_ap_duty);
         out.das_contention_degree.push(degree);
     }
-    out
+    Some(out)
+}
+
+fn median(samples: &[f64]) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    match sorted.len() {
+        0 => f64::NAN,
+        n if n % 2 == 1 => sorted[n / 2],
+        n => (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0,
+    }
+}
+
+/// Beyond the paper — MIDAS-vs-CAS gain against offered load on the 3-AP
+/// testbed, optionally under the roaming-walk dynamics layer
+/// (`speed_mps > 0`).
+pub(crate) fn load_vs_gain(
+    duty_cycles: &[f64],
+    topologies: usize,
+    rounds: usize,
+    speed_mps: f64,
+    seed: u64,
+) -> Vec<LoadGainRow> {
+    duty_cycles
+        .iter()
+        .map(|&duty| {
+            let mut builder = SessionBuilder::new(PairedRecipe::three_ap_paper())
+                .rounds(rounds)
+                .traffic(TrafficKind::OnOff {
+                    duty,
+                    mean_burst_rounds: 4.0,
+                });
+            if speed_mps > 0.0 {
+                builder = builder.dynamics(DynamicsSpec::roaming_walk(speed_mps));
+            }
+            let series = builder.build().run(topologies, seed);
+            let cas_median = median(&series.network.cas);
+            let das_median = median(&series.network.das);
+            LoadGainRow {
+                duty,
+                cas_median,
+                das_median,
+                gain: das_median / cas_median,
+            }
+        })
+        .collect()
 }
 
 /// Ablation — tag-width sweep (§3.2.4 discusses 1, 2 and "all" antennas per
 /// client): mean end-to-end capacity of the 3-AP MIDAS network per tag width.
-pub fn ablation_tag_width(widths: &[usize], topologies: usize, seed: u64) -> Vec<(usize, f64)> {
+pub(crate) fn ablation_tag_width(
+    widths: &[usize],
+    topologies: usize,
+    seed: u64,
+) -> Vec<(usize, f64)> {
     widths
         .iter()
         .map(|&w| {
@@ -593,7 +656,7 @@ pub fn ablation_tag_width(widths: &[usize], topologies: usize, seed: u64) -> Vec
 /// Ablation — DAS antenna placement radius sweep (§7 recommends 50–75 % of
 /// the CAS coverage range): median single-AP MU-MIMO capacity per radius
 /// fraction band.
-pub fn ablation_das_radius(
+pub(crate) fn ablation_das_radius(
     fractions: &[(f64, f64)],
     topologies: usize,
     seed: u64,
@@ -628,7 +691,11 @@ pub fn ablation_das_radius(
 /// attempts in which waiting up to the window adds at least one antenna,
 /// over random busy patterns.  Busy patterns are derived per trial from the
 /// mixed seed, so every window is evaluated against the same patterns.
-pub fn ablation_antenna_wait(windows_us: &[u64], trials: usize, seed: u64) -> Vec<(u64, f64)> {
+pub(crate) fn ablation_antenna_wait(
+    windows_us: &[u64],
+    trials: usize,
+    seed: u64,
+) -> Vec<(u64, f64)> {
     use midas_mac::antenna_select::select_opportunistic;
     use midas_mac::carrier_sense::CarrierSense;
     let sweep = SeedSweep::new(seed).with_mix(149, 97);
@@ -721,7 +788,8 @@ mod tests {
     fn end_to_end_midas_beats_cas_on_three_aps() {
         // Per-topology variance is high at this small scale, so aggregate a
         // handful of topologies; the bench runs the full-size version.
-        let series = end_to_end_series(false, 6, 10, 100, ContentionModel::Graph);
+        let series =
+            end_to_end_series(false, 6, 10, 100, ContentionModel::Graph, |b| b, None).unwrap();
         let das: f64 = series.network.das.iter().sum();
         let cas: f64 = series.network.cas.iter().sum();
         assert!(das > cas, "MIDAS {das:.1} vs CAS {cas:.1}");
@@ -776,7 +844,7 @@ mod tests {
     #[test]
     fn enterprise_scaling_produces_full_series_at_small_scale() {
         let scenario = Scenario::enterprise_office(8);
-        let s = enterprise_scaling(&scenario, 2, 4, 42);
+        let s = enterprise_scaling(&scenario, 2, 4, 42, |b| b, None).unwrap();
         assert_eq!(s.cas.len(), 2);
         assert_eq!(s.das.len(), 2);
         assert_eq!(s.das_per_ap_capacity.len(), 2 * 8);

@@ -19,8 +19,8 @@
 //! pluggable traffic models, streaming observers, and one declarative
 //! [`sim::ExperimentSpec`] per table/figure of the paper's evaluation,
 //! which the benchmark harness (`crates/bench`) and the examples drive.
-//! The per-figure runner functions live in [`experiment`] and execute
-//! through the session machinery.
+//! The spec is the only public way to run an experiment; the per-figure
+//! recipes behind it live in [`experiment`], next to their result types.
 //!
 //! ## Quick start
 //!

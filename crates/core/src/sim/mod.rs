@@ -1,8 +1,6 @@
 //! The session API: one composable entry point for every MIDAS experiment.
 //!
-//! Four PRs of per-figure free functions (`fig03_…` … `enterprise_scaling`,
-//! plus duplicated `…_with_model` variants) are replaced by three
-//! composable layers:
+//! Three composable layers:
 //!
 //! 1. **[`TopologySource`]** — where paired CAS/DAS deployments come from:
 //!    the paper's [`PairedRecipe`] layouts (single-AP, 3-AP testbed, 8-AP
@@ -18,17 +16,10 @@
 //!    64-AP / 512-client runs hold peak memory flat in the round count.
 //! 3. **[`ExperimentSpec`]** — every paper figure (and the beyond-paper
 //!    enterprise sweep) as a declarative value with a typed
-//!    [`ExperimentOutput`]; the benchmark harness and examples drive these
-//!    instead of free functions.
-//!
-//! ## Migration from the free-function zoo
-//!
-//! | Old free function | Session-API replacement |
-//! |---|---|
-//! | `experiment::fig03_naive_scaling_drop(n, seed)` | `ExperimentSpec::NaiveScalingDrop { topologies: n }.run(seed)` |
-//! | `experiment::fig08_09_capacity(env, k, n, seed)` | `ExperimentSpec::MuMimoCapacity { environment: env, antennas: k, topologies: n }.run(seed)` |
-//! | `experiment::fig12_simultaneous_tx(n, seed)` | `ExperimentSpec::SimultaneousTx { topologies: n }.run(seed)` |
-//! | bespoke `NetworkSimulator` loops | `SessionBuilder::new(source)…build()` + [`Session::run`] / [`Session::stream`] |
+//!    [`ExperimentOutput`].  It is the one public way to run an
+//!    experiment: [`ExperimentSpec::run`], or
+//!    [`ExperimentSpec::run_observed`] to configure and observe the
+//!    session-driven ones.
 //!
 //! ## Example
 //!
@@ -48,7 +39,7 @@
 //! }
 //! ```
 
-mod session;
+pub(crate) mod session;
 mod source;
 mod spec;
 

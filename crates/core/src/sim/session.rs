@@ -1,6 +1,7 @@
 //! The session layer: composing a topology source, contention model,
 //! traffic workload and observers into reproducible paired experiments.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::runner::SeedSweep;
@@ -9,9 +10,16 @@ use midas_channel::FadingEngine;
 use midas_net::capture::ContentionModel;
 use midas_net::deployment::PairedTopology;
 use midas_net::dynamics::DynamicsSpec;
-use midas_net::observer::Observer;
+use midas_net::observer::{Accumulate, Observer, Tee};
 use midas_net::simulator::{MacKind, NetworkSimConfig, NetworkSimulator, TopologyResult};
 use midas_net::traffic::TrafficKind;
+
+/// A per-simulation observer factory: called once per simulation with the
+/// trial index and MAC, its observer sees every round next to the result
+/// accumulator (see [`ExperimentSpec::run_observed`]).
+///
+/// [`ExperimentSpec::run_observed`]: crate::sim::ExperimentSpec::run_observed
+pub(crate) type Tap<'t> = dyn Fn(usize, MacKind) -> Box<dyn Observer + 't> + Sync + 't;
 
 /// Paired per-topology samples of a CAS metric and a DAS/MIDAS metric —
 /// the container behind every CAS-vs-MIDAS CDF in the paper.
@@ -211,7 +219,7 @@ impl SessionBuilder {
 /// observers.
 ///
 /// Construct via [`SessionBuilder`]; see the [module docs](crate::sim) for
-/// the migration map from the old free functions.
+/// how sessions sit under the experiment specs.
 #[derive(Clone)]
 pub struct Session {
     inner: SessionBuilder,
@@ -250,9 +258,21 @@ impl Session {
     /// Runs `topologies` paired trials and accumulates the network and
     /// per-client series (the Figs. 15 / 16 shape).
     pub fn run(&self, topologies: usize, seed: u64) -> SessionSeries {
-        let rows = self.run_trials(topologies, seed, &|trial: &SessionTrial<'_>| {
-            let cas = trial.simulate(MacKind::Cas);
-            let das = trial.simulate(MacKind::Midas);
+        self.run_series(topologies, seed, None)
+            .expect("an untapped run never stops")
+    }
+
+    /// [`Session::run`] with an optional [`Tap`]; `None` once the tap asked
+    /// to stop.
+    pub(crate) fn run_series(
+        &self,
+        topologies: usize,
+        seed: u64,
+        tap: Option<&Tap<'_>>,
+    ) -> Option<SessionSeries> {
+        let rows = self.run_tapped(topologies, seed, tap, |_, simulate| {
+            let cas = simulate(MacKind::Cas);
+            let das = simulate(MacKind::Midas);
             (
                 (cas.mean_capacity(), das.mean_capacity()),
                 (
@@ -260,7 +280,7 @@ impl Session {
                     das.per_client_mean_capacity(),
                 ),
             )
-        });
+        })?;
         let mut out = SessionSeries::default();
         for (net, clients) in rows {
             out.network.cas.push(net.0);
@@ -268,7 +288,54 @@ impl Session {
             out.per_client.cas.extend(clients.0);
             out.per_client.das.extend(clients.1);
         }
-        out
+        Some(out)
+    }
+
+    /// [`Session::run_trials`] with an optional [`Tap`]: `f` gets the trial
+    /// and a `simulate` that runs one MAC to completion, teeing the tap's
+    /// observer in.  Once any tap observer requests a stop, trials that
+    /// have not started are skipped before their topology is built, and
+    /// the run returns `None`.  Without a tap, `simulate` is
+    /// [`SessionTrial::simulate`] and the run always completes.
+    pub(crate) fn run_tapped<T, F>(
+        &self,
+        topologies: usize,
+        seed: u64,
+        tap: Option<&Tap<'_>>,
+        f: F,
+    ) -> Option<Vec<T>>
+    where
+        T: Send,
+        F: Fn(&SessionTrial<'_>, &dyn Fn(MacKind) -> TopologyResult) -> T + Sync,
+    {
+        let stopped = AtomicBool::new(false);
+        let rows = self.sweep(seed).run(topologies, &|t: usize, s: u64| {
+            if stopped.load(Ordering::Relaxed) {
+                return None;
+            }
+            let trial = self.trial(t, s);
+            let simulate = |mac: MacKind| match tap {
+                None => trial.simulate(mac),
+                Some(tap) => {
+                    let mut acc = Accumulate::new();
+                    trial.observe(mac, &mut Tee::new(vec![&mut acc, &mut *tap(t, mac)]));
+                    let result = acc.into_result();
+                    // A simulator cuts a run short only when an observer
+                    // asked it to stop.
+                    if result.per_round_capacity.len() < trial.config(mac).rounds {
+                        stopped.store(true, Ordering::Relaxed);
+                    }
+                    result
+                }
+            };
+            Some(f(&trial, &simulate))
+        });
+        // The flag publishes no other data, and the sweep has joined its
+        // workers by now.
+        if stopped.into_inner() {
+            return None;
+        }
+        rows.into_iter().collect()
     }
 
     /// Runs `topologies` trials through the sweep engine, mapping each
@@ -384,7 +451,8 @@ impl SessionTrial<'_> {
 mod tests {
     use super::*;
     use crate::sim::source::PairedRecipe;
-    use midas_net::observer::{Accumulate, RunningSummary};
+    use midas_net::observer::{RoundRecord, RunningSummary};
+    use std::sync::atomic::AtomicUsize;
 
     fn quick_session() -> Session {
         SessionBuilder::new(PairedRecipe::three_ap_paper())
@@ -485,6 +553,50 @@ mod tests {
             .build()
             .run(2, 17);
         assert_eq!(slow_fading.network.das, again.network.das);
+    }
+
+    #[test]
+    fn a_passive_tap_leaves_the_series_bit_identical() {
+        let tap = |_: usize, _: MacKind| -> Box<dyn Observer> { Box::new(RunningSummary::new()) };
+        let tapped = quick_session().run_series(3, 11, Some(&tap)).unwrap();
+        let plain = quick_session().run(3, 11);
+        assert_eq!(tapped.network, plain.network);
+        assert_eq!(tapped.per_client, plain.per_client);
+    }
+
+    #[test]
+    fn a_tap_stop_skips_later_trials_before_their_topology_is_built() {
+        static BUILDS: AtomicUsize = AtomicUsize::new(0);
+        struct CountingFloor;
+        impl TopologySource for CountingFloor {
+            fn environment(&self) -> midas_channel::Environment {
+                PairedRecipe::three_ap_paper().environment()
+            }
+            fn build(&self, seed: u64) -> PairedTopology {
+                BUILDS.fetch_add(1, Ordering::SeqCst);
+                PairedRecipe::three_ap_paper().build(seed)
+            }
+        }
+        struct StopNow;
+        impl Observer for StopNow {
+            fn on_round(&mut self, _record: &RoundRecord<'_>) {}
+            fn stop_requested(&mut self) -> bool {
+                true
+            }
+        }
+        let session = SessionBuilder::new(CountingFloor)
+            .rounds(4)
+            .threads(1)
+            .build();
+        let taps = AtomicUsize::new(0);
+        let tap = |_: usize, _: MacKind| -> Box<dyn Observer> {
+            taps.fetch_add(1, Ordering::SeqCst);
+            Box::new(StopNow)
+        };
+        assert!(session.run_series(5, 3, Some(&tap)).is_none());
+        // Trial 0 ran both MACs; trials 1..5 never built a topology.
+        assert_eq!(BUILDS.load(Ordering::SeqCst), 1);
+        assert_eq!(taps.load(Ordering::SeqCst), 2);
     }
 
     #[test]

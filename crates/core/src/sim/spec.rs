@@ -4,9 +4,11 @@
 //! An [`ExperimentSpec`] names one experiment *and its scale* (topology
 //! count, rounds, contention model, …); [`ExperimentSpec::run`] executes it
 //! through the session machinery and returns a typed [`ExperimentOutput`].
-//! The benchmark harness and the examples construct specs instead of
-//! calling per-figure free functions, so adding an experiment means adding
-//! a variant — not another function zoo.
+//! It is the only public way to run an experiment: the per-figure recipes
+//! in [`crate::experiment`] are crate-private, so adding an experiment
+//! means adding a variant.  The session-driven variants take hooks through
+//! [`ExperimentSpec::run_observed`], which is how the job service streams
+//! round logs without a copy of any recipe.
 //!
 //! The numbered constructors ([`ExperimentSpec::fig03`] …) pin the bench
 //! scale of each paper figure (the sample counts the figure targets print
@@ -16,18 +18,17 @@ use crate::experiment::{
     ablation_antenna_wait, ablation_das_radius, ablation_tag_width, end_to_end_series,
     enterprise_scaling, fig03_naive_scaling_drop, fig07_link_snr, fig08_09_capacity,
     fig10_smart_precoding, fig11_optimal_comparison, fig12_simultaneous_tx, fig13_deadzones,
-    fig14_packet_tagging, fig16_calibration, sec534_hidden_terminals, CalibrationCell,
-    CalibrationGrid, EnterpriseScalingSeries, SmartPrecodingSeries,
+    fig14_packet_tagging, fig16_calibration, load_vs_gain, sec534_hidden_terminals,
+    CalibrationCell, CalibrationGrid, EnterpriseScalingSeries, SmartPrecodingSeries,
 };
 use crate::sim::session::{PairedSamples, SessionBuilder, SessionSeries};
-use crate::sim::source::PairedRecipe;
 use midas_channel::EnvironmentKind;
 use midas_net::capture::ContentionModel;
 use midas_net::coverage::DeadzoneComparison;
-use midas_net::dynamics::DynamicsSpec;
 use midas_net::hidden_terminal::HiddenTerminalComparison;
+use midas_net::observer::Observer;
 use midas_net::scale::Scenario;
-use midas_net::traffic::TrafficKind;
+use midas_net::simulator::MacKind;
 
 /// One experiment of the paper's evaluation (plus the beyond-paper
 /// enterprise sweep), as a value.  See the module docs.
@@ -257,12 +258,46 @@ impl ExperimentSpec {
         }
     }
 
+    /// Whether the experiment runs through one [`Session`] built from a
+    /// figure-pinned [`SessionBuilder`] — the variants whose
+    /// [`ExperimentSpec::run_observed`] hooks apply.
+    ///
+    /// [`Session`]: crate::sim::Session
+    pub fn is_session_driven(&self) -> bool {
+        matches!(
+            self,
+            ExperimentSpec::EndToEnd { .. } | ExperimentSpec::EnterpriseScaling { .. }
+        )
+    }
+
     /// Runs the experiment at `seed`.  Deterministic in the seed and
-    /// bit-identical at any `MIDAS_THREADS` setting; at the seeds the unit
-    /// tests pin, every output reproduces the pre-redesign free functions
-    /// byte for byte (see `crates/core/tests/runner_determinism.rs`).
+    /// bit-identical at any `MIDAS_THREADS` setting (the goldens in
+    /// `crates/core/tests/runner_determinism.rs` pin the outputs).
     pub fn run(&self, seed: u64) -> ExperimentOutput {
-        match self {
+        self.run_observed(seed, |builder| builder, None)
+            .expect("an untapped run never stops")
+    }
+
+    /// [`ExperimentSpec::run`] with hooks for the session-driven variants
+    /// (see [`ExperimentSpec::is_session_driven`]); the other variants
+    /// ignore both.
+    ///
+    /// * `configure` adjusts the figure-pinned [`SessionBuilder`] (traffic,
+    ///   dynamics, workers, …) before the session is built.
+    /// * `tap`, called once per simulation with the trial index and MAC,
+    ///   returns an observer that sees every round next to the result
+    ///   accumulator, so a completed run's output is bit-identical to an
+    ///   untapped one.  Once a tap observer reports
+    ///   [`Observer::stop_requested`], trials that have not started are
+    ///   skipped before their topology is built and the run returns
+    ///   `None`.
+    pub fn run_observed<'t>(
+        &self,
+        seed: u64,
+        configure: impl FnOnce(SessionBuilder) -> SessionBuilder,
+        tap: Option<&(dyn Fn(usize, MacKind) -> Box<dyn Observer + 't> + Sync + 't)>,
+    ) -> Option<ExperimentOutput> {
+        Some(match self {
             ExperimentSpec::NaiveScalingDrop { topologies } => {
                 ExperimentOutput::Paired(fig03_naive_scaling_drop(*topologies, seed))
             }
@@ -309,7 +344,9 @@ impl ExperimentSpec {
                 *rounds,
                 seed,
                 *contention,
-            )),
+                configure,
+                tap,
+            )?),
             ExperimentSpec::Fig16Calibration {
                 grid,
                 topologies,
@@ -324,7 +361,9 @@ impl ExperimentSpec {
                 *topologies,
                 *rounds,
                 seed,
-            )),
+                configure,
+                tap,
+            )?),
             ExperimentSpec::LoadVsGain {
                 duty_cycles,
                 topologies,
@@ -347,7 +386,7 @@ impl ExperimentSpec {
             ExperimentSpec::AntennaWait { windows_us, trials } => {
                 ExperimentOutput::AntennaWait(ablation_antenna_wait(windows_us, *trials, seed))
             }
-        }
+        })
     }
 }
 
@@ -364,54 +403,10 @@ pub struct LoadGainRow {
     pub gain: f64,
 }
 
-fn median(samples: &[f64]) -> f64 {
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    match sorted.len() {
-        0 => f64::NAN,
-        n if n % 2 == 1 => sorted[n / 2],
-        n => (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0,
-    }
-}
-
-/// Sweeps MIDAS-vs-CAS gain against offered load on the 3-AP testbed,
-/// optionally under the roaming-walk dynamics layer (`speed_mps > 0`).
-fn load_vs_gain(
-    duty_cycles: &[f64],
-    topologies: usize,
-    rounds: usize,
-    speed_mps: f64,
-    seed: u64,
-) -> Vec<LoadGainRow> {
-    duty_cycles
-        .iter()
-        .map(|&duty| {
-            let mut builder = SessionBuilder::new(PairedRecipe::three_ap_paper())
-                .rounds(rounds)
-                .traffic(TrafficKind::OnOff {
-                    duty,
-                    mean_burst_rounds: 4.0,
-                });
-            if speed_mps > 0.0 {
-                builder = builder.dynamics(DynamicsSpec::roaming_walk(speed_mps));
-            }
-            let series = builder.build().run(topologies, seed);
-            let cas_median = median(&series.network.cas);
-            let das_median = median(&series.network.das);
-            LoadGainRow {
-                duty,
-                cas_median,
-                das_median,
-                gain: das_median / cas_median,
-            }
-        })
-        .collect()
-}
-
 /// The typed result of an [`ExperimentSpec::run`].
 ///
-/// Each variant carries the same series type the corresponding legacy
-/// runner returned; the `expect_*` accessors unwrap with a clear panic
+/// Each variant carries the series type of the experiment's recipe; the
+/// `expect_*` accessors unwrap with a clear panic
 /// message for callers (benches) that know which experiment they ran.
 #[derive(Debug, Clone)]
 pub enum ExperimentOutput {

@@ -1,8 +1,10 @@
-//! Public-API surface snapshot for `midas::sim`.
+//! Public-API surface snapshot for `midas::sim` and `midas::experiment`.
 //!
 //! The session API is the crate's public contract: benches, examples and
-//! downstream users compose against it.  This test extracts every `pub`
-//! item declared in the `sim` module sources and compares the listing
+//! downstream users compose against it.  `ExperimentSpec` is its only way
+//! to run an experiment, so `midas::experiment` may export result types
+//! but no runner.  This test extracts every `pub` item declared in those
+//! module sources and compares the listing
 //! against the pinned snapshot below, so an accidental rename, removal or
 //! signature-class change (fn → method moves, new exports) fails CI with a
 //! readable diff instead of silently breaking downstream callers.
@@ -10,18 +12,25 @@
 //! To re-pin after a *deliberate* API change: run the test, copy the
 //! "actual surface" listing from the failure message into `PINNED`.
 
-/// The sim module sources, bundled at compile time so the test needs no
-/// filesystem assumptions.
+/// The sim and experiment module sources, bundled at compile time so the
+/// test needs no filesystem assumptions.
 const SOURCES: &[(&str, &str)] = &[
+    ("experiment.rs", include_str!("../src/experiment.rs")),
     ("sim/mod.rs", include_str!("../src/sim/mod.rs")),
     ("sim/session.rs", include_str!("../src/sim/session.rs")),
     ("sim/source.rs", include_str!("../src/sim/source.rs")),
     ("sim/spec.rs", include_str!("../src/sim/spec.rs")),
 ];
 
-/// The pinned `midas::sim` surface: one `file: kind name` row per public
+/// The pinned surface: one `file: kind name` row per public
 /// item, in declaration order.
 const PINNED: &[&str] = &[
+    "experiment.rs: struct SmartPrecodingSeries",
+    "experiment.rs: const FIG16_GAIN_BAND",
+    "experiment.rs: struct CalibrationGrid",
+    "experiment.rs: struct CalibrationCell",
+    "experiment.rs: fn best_calibration_cell",
+    "experiment.rs: struct EnterpriseScalingSeries",
     "sim/mod.rs: use session::{PairedSamples, Session, SessionBuilder, SessionSeries, SessionTrial}",
     "sim/mod.rs: use source::{PairedRecipe, TopologySource}",
     "sim/mod.rs: use spec::{ExperimentOutput, ExperimentSpec, LoadGainRow}",
@@ -85,7 +94,9 @@ const PINNED: &[&str] = &[
     "sim/spec.rs: fn fig15",
     "sim/spec.rs: fn fig16",
     "sim/spec.rs: fn name",
+    "sim/spec.rs: fn is_session_driven",
     "sim/spec.rs: fn run",
+    "sim/spec.rs: fn run_observed",
     "sim/spec.rs: struct LoadGainRow",
     "sim/spec.rs: enum ExperimentOutput",
     "sim/spec.rs: fn expect_paired",
@@ -153,7 +164,7 @@ fn sim_api_surface_matches_the_pinned_snapshot() {
     assert_eq!(
         actual,
         pinned,
-        "\nmidas::sim public surface changed.  If deliberate, re-pin the snapshot in \
+        "\nmidas::sim / midas::experiment public surface changed.  If deliberate, re-pin the snapshot in \
          crates/core/tests/api_surface.rs.\n\nactual surface:\n{}\n",
         actual
             .iter()

@@ -40,7 +40,7 @@
 //! semantics bit-for-bit; the property tests in
 //! `crates/net/tests/proptest_capture.rs` pin that equivalence, and the
 //! calibrated `Physical` defaults come from the
-//! `midas::experiment::fig16_calibration` grid sweep.
+//! `midas::sim::ExperimentSpec::Fig16Calibration` grid sweep.
 
 use crate::contention::ContentionGraph;
 use midas_channel::shadowing::Shadowing;

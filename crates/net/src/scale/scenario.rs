@@ -2,8 +2,8 @@
 //!
 //! Each scenario bundles a floor grid, a propagation environment, an
 //! antenna-placement config and an association policy into one reproducible
-//! recipe, parameterised only by AP count and seed.  The experiment runner
-//! (`midas::experiment::enterprise_scaling`) sweeps these through
+//! recipe, parameterised only by AP count and seed.  The experiment spec
+//! (`midas::sim::ExperimentSpec::EnterpriseScaling`) sweeps these through
 //! `SeedSweep`, and the `enterprise_scaling` bench target emits the series
 //! through the figure sinks.
 

@@ -5,23 +5,23 @@
 //! ## Byte identity
 //!
 //! `result.json` is **byte-identical** to encoding the in-process
-//! [`ExperimentSpec::run`] output, because the session-driven paths here
-//! replicate the exact recipes the spec runner uses (same
-//! [`PairedRecipe`], contention, seed mix and assembly order) and stream
-//! through [`Accumulate`] — which rebuilds the legacy result bit for bit —
-//! while a [`JsonlObserver`] tees the same rounds to disk.  The integration
+//! [`ExperimentSpec::run`] output, because the job runs that very entry:
+//! [`ExperimentSpec::run_observed`] with the spec's session knobs as its
+//! `configure` hook and a tap whose observer only logs rounds and polls the
+//! deadline — the recipe accumulates every result itself.  The integration
 //! tests pin this equivalence.
 //!
 //! ## Cancellation
 //!
-//! Cooperative, at *round* granularity: every sweep closure checks the
-//! [`CancelToken`] before building its topology, and a `DeadlineProbe`
-//! observer rides in each trial's observer tee, polling the token after
-//! every round through [`Observer::stop_requested`] — so even a 1-trial,
-//! many-round job stops within one round of the deadline instead of
-//! running its trial to completion.  The direct (non-session) experiments
-//! check once up front — they run a single library call with no interior
-//! yield points.
+//! Cooperative, at *round* granularity: the tap observer polls the
+//! [`CancelToken`] after every round through [`Observer::stop_requested`],
+//! so even a 1-trial, many-round job stops within one round of the
+//! deadline, and trials that have not started by then are skipped.  The
+//! direct (non-session) experiments run a single library call with no
+//! interior yield points, so the token is checked before and after it.
+//!
+//! [`ExperimentSpec::run`]: midas::sim::ExperimentSpec::run
+//! [`ExperimentSpec::run_observed`]: midas::sim::ExperimentSpec::run_observed
 
 use std::fs;
 use std::io;
@@ -35,12 +35,11 @@ use crate::observer::{JsonlObserver, JsonlSink};
 use crate::spec::JobSpec;
 use midas::experiment::{CalibrationCell, EnterpriseScalingSeries, SmartPrecodingSeries};
 use midas::sim::{
-    Accumulate, ExperimentOutput, ExperimentSpec, MacKind, Observer, PairedRecipe, PairedSamples,
-    RoundRecord, SessionBuilder, SessionSeries, SessionTrial, Tee,
+    ExperimentOutput, LoadGainRow, MacKind, Observer, PairedSamples, PhysicalConfig, RoundRecord,
+    SessionBuilder, SessionSeries, StageTimings,
 };
-use midas_net::contention::ContentionGraph;
-use midas_net::scale::scenario::INTERACTION_MARGIN_DB;
-use midas_net::simulator::TopologyResult;
+use midas_net::coverage::DeadzoneComparison;
+use midas_net::hidden_terminal::HiddenTerminalComparison;
 
 /// Why a run stopped early.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,123 +130,41 @@ pub fn run_job(
     token: &CancelToken,
 ) -> Result<ExperimentOutput, RunError> {
     fs::create_dir_all(job_dir)?;
-    let output = match &spec.experiment {
-        ExperimentSpec::EndToEnd {
-            eight_aps,
-            topologies,
-            rounds,
-            contention,
-        } => {
-            let recipe = if *eight_aps {
-                PairedRecipe::eight_ap_paper()
-            } else {
-                PairedRecipe::three_ap_paper()
-            };
-            let builder = SessionBuilder::new(recipe)
-                .rounds(*rounds)
-                .contention(*contention)
-                .seed_mix(193, 61);
-            let session = apply_knobs(builder, spec).build();
-            let sink = JsonlSink::create(&job_dir.join("rounds.jsonl"))?;
-            let rows = session.run_trials(*topologies, spec.seed, &|trial: &SessionTrial<'_>| {
-                if token.stop_reason().is_some() {
-                    return None;
-                }
-                let (cas, das) = observe_pair(trial, &sink, token);
-                Some((
-                    (cas.mean_capacity(), das.mean_capacity()),
-                    (
-                        cas.per_client_mean_capacity(),
-                        das.per_client_mean_capacity(),
-                    ),
-                ))
-            });
-            sink.finish()?;
-            if let Some(reason) = token.stop_reason() {
-                return Err(RunError::Stopped(reason));
-            }
-            // The exact assembly order of `Session::run`, which is what
-            // keeps the series bit-identical to `ExperimentSpec::run`.
-            let mut out = SessionSeries::default();
-            for row in rows {
-                let (net, clients) = row.expect("no stop reason, so every trial ran");
-                out.network.cas.push(net.0);
-                out.network.das.push(net.1);
-                out.per_client.cas.extend(clients.0);
-                out.per_client.das.extend(clients.1);
-            }
-            ExperimentOutput::EndToEnd(out)
-        }
-        ExperimentSpec::EnterpriseScaling {
-            scenario,
-            topologies,
-            rounds,
-        } => {
-            let env = scenario.environment();
-            let builder = SessionBuilder::new(*scenario)
-                .rounds(*rounds)
-                .seed_mix(1021, 101);
-            let session = apply_knobs(builder, spec).build();
-            let sink = JsonlSink::create(&job_dir.join("rounds.jsonl"))?;
-            let rows = session.run_trials(*topologies, spec.seed, &|trial: &SessionTrial<'_>| {
-                if token.stop_reason().is_some() {
-                    return None;
-                }
-                // The structural contention-degree diagnostic, exactly as
-                // `experiment::enterprise_scaling` computes it.
-                let graph = ContentionGraph::new(env, trial.seed() ^ 0x5151);
-                let adjacency = graph.ap_adjacency_indexed(
-                    &trial.pair().das,
-                    env.interaction_range_m(INTERACTION_MARGIN_DB),
-                );
-                let degree = adjacency
-                    .iter()
-                    .map(|row| row.iter().filter(|&&x| x).count())
-                    .sum::<usize>() as f64
-                    / adjacency.len().max(1) as f64;
-                let (cas, das) = observe_pair(trial, &sink, token);
-                Some((
-                    cas.mean_capacity(),
-                    das.mean_capacity(),
-                    cas.mean_streams(),
-                    das.mean_streams(),
-                    das.per_ap_mean_capacity(),
-                    das.per_ap_duty_cycle(),
-                    degree,
-                ))
-            });
-            sink.finish()?;
-            if let Some(reason) = token.stop_reason() {
-                return Err(RunError::Stopped(reason));
-            }
-            let mut out = EnterpriseScalingSeries::default();
-            for row in rows {
-                let (cas, das, cas_streams, das_streams, per_ap_cap, per_ap_duty, degree) =
-                    row.expect("no stop reason, so every trial ran");
-                out.cas.push(cas);
-                out.das.push(das);
-                out.cas_streams.push(cas_streams);
-                out.das_streams.push(das_streams);
-                out.das_per_ap_capacity.extend(per_ap_cap);
-                out.das_per_ap_duty.extend(per_ap_duty);
-                out.das_contention_degree.push(degree);
-            }
-            ExperimentOutput::Enterprise(out)
-        }
-        direct => {
-            // Single library call — cancellation is checked at the only
-            // yield point there is.
-            if let Some(reason) = token.stop_reason() {
-                return Err(RunError::Stopped(reason));
-            }
-            direct.run(spec.seed)
-        }
-    };
     if let Some(reason) = token.stop_reason() {
         return Err(RunError::Stopped(reason));
     }
+    let sink = spec
+        .is_session_driven()
+        .then(|| JsonlSink::create(&job_dir.join("rounds.jsonl")))
+        .transpose()?;
+    let tap = |trial: usize, mac: MacKind| -> Box<dyn Observer + '_> {
+        let sink = sink
+            .as_ref()
+            .expect("only session-driven runs call the tap");
+        Box::new(JobTap {
+            log: JsonlObserver::new(sink, trial, mac_label(mac)),
+            token,
+        })
+    };
+    let output =
+        spec.experiment
+            .run_observed(spec.seed, |builder| apply_knobs(builder, spec), Some(&tap));
+    if let Some(sink) = sink {
+        sink.finish()?;
+    }
+    if let Some(reason) = token.stop_reason() {
+        return Err(RunError::Stopped(reason));
+    }
+    let output = output.expect("only a fired token stops a run");
     write_result(job_dir, &output)?;
     Ok(output)
+}
+
+fn mac_label(mac: MacKind) -> &'static str {
+    match mac {
+        MacKind::Cas => "cas",
+        MacKind::Midas => "midas",
+    }
 }
 
 /// Applies the spec's session knobs onto a figure-pinned builder.
@@ -267,40 +184,31 @@ fn apply_knobs(builder: SessionBuilder, spec: &JobSpec) -> SessionBuilder {
     builder
 }
 
-/// A passive observer that asks the simulator to stop as soon as its
-/// [`CancelToken`] fires — the round-granular half of job cancellation.
-/// It records nothing, so teeing it alongside the result observers leaves
-/// every completed run byte-identical.
-struct DeadlineProbe<'a> {
+/// The per-simulation tap of a job: logs every round to `rounds.jsonl` and
+/// asks the simulator to stop as soon as the [`CancelToken`] fires — the
+/// round-granular half of job cancellation.  It records no result, so a
+/// completed run stays byte-identical.
+struct JobTap<'a> {
+    log: JsonlObserver<'a>,
     token: &'a CancelToken,
 }
 
-impl Observer for DeadlineProbe<'_> {
-    fn on_round(&mut self, _record: &RoundRecord<'_>) {}
+impl Observer for JobTap<'_> {
+    fn on_start(&mut self, num_clients: usize, num_aps: usize, rounds: usize) {
+        self.log.on_start(num_clients, num_aps, rounds);
+    }
+
+    fn on_round(&mut self, record: &RoundRecord<'_>) {
+        self.log.on_round(record);
+    }
+
+    fn on_finish(&mut self, timings: &StageTimings) {
+        self.log.on_finish(timings);
+    }
 
     fn stop_requested(&mut self) -> bool {
         self.token.stop_reason().is_some()
     }
-}
-
-/// Runs both MACs of one trial, teeing rounds into the JSONL sink while
-/// accumulating the bit-exact [`TopologyResult`]s.  A [`DeadlineProbe`]
-/// rides along so a fired token stops mid-trial, after the current round.
-fn observe_pair(
-    trial: &SessionTrial<'_>,
-    sink: &JsonlSink,
-    token: &CancelToken,
-) -> (TopologyResult, TopologyResult) {
-    let run = |mac: MacKind, label: &'static str| {
-        let mut acc = Accumulate::new();
-        let mut log = JsonlObserver::new(sink, trial.index(), label);
-        let mut probe = DeadlineProbe { token };
-        trial.observe(mac, &mut Tee::new(vec![&mut acc, &mut log, &mut probe]));
-        acc.into_result()
-    };
-    let cas = run(MacKind::Cas, "cas");
-    let das = run(MacKind::Midas, "midas");
-    (cas, das)
 }
 
 /// Writes `result.json` atomically (tmp + rename): the compact encoding of
@@ -330,158 +238,216 @@ fn paired_to_json(samples: &PairedSamples) -> Json {
 
 /// Encodes a typed experiment output as `{"kind": ..., ...series}`.
 pub fn encode_output(output: &ExperimentOutput) -> Json {
-    let kind = |name: &str| ("kind".to_string(), Json::Str(name.into()));
-    match output {
-        ExperimentOutput::Paired(samples) => Json::Obj(vec![
-            kind("paired"),
-            ("cas".into(), f64_arr(&samples.cas)),
-            ("das".into(), f64_arr(&samples.das)),
-        ]),
-        ExperimentOutput::SmartPrecoding(SmartPrecodingSeries {
-            cas_naive,
-            cas_smart,
-            das_naive,
-            das_smart,
-        }) => Json::Obj(vec![
-            kind("smart_precoding"),
-            ("cas_naive".into(), f64_arr(cas_naive)),
-            ("cas_smart".into(), f64_arr(cas_smart)),
-            ("das_naive".into(), f64_arr(das_naive)),
-            ("das_smart".into(), f64_arr(das_smart)),
-        ]),
-        ExperimentOutput::Ratios(ratios) => {
-            Json::Obj(vec![kind("ratios"), ("ratios".into(), f64_arr(ratios))])
-        }
-        ExperimentOutput::Deadzones(rows) => Json::Obj(vec![
-            kind("deadzones"),
-            (
-                "rows".into(),
-                Json::Arr(
-                    rows.iter()
-                        .map(|row| {
-                            Json::Obj(vec![
-                                ("cas_dead".into(), Json::UInt(row.cas_dead as u64)),
-                                ("das_dead".into(), Json::UInt(row.das_dead as u64)),
-                                ("total_spots".into(), Json::UInt(row.total_spots as u64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]),
-        ExperimentOutput::HiddenTerminals(rows) => Json::Obj(vec![
-            kind("hidden_terminals"),
-            (
-                "rows".into(),
-                Json::Arr(
-                    rows.iter()
-                        .map(|row| {
-                            Json::Obj(vec![
-                                ("cas_spots".into(), Json::UInt(row.cas_spots as u64)),
-                                ("das_spots".into(), Json::UInt(row.das_spots as u64)),
-                                ("total_spots".into(), Json::UInt(row.total_spots as u64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]),
-        ExperimentOutput::EndToEnd(series) => Json::Obj(vec![
-            kind("end_to_end"),
-            ("network".into(), paired_to_json(&series.network)),
-            ("per_client".into(), paired_to_json(&series.per_client)),
-        ]),
-        ExperimentOutput::Calibration(cells) => Json::Obj(vec![
-            kind("calibration"),
-            (
-                "cells".into(),
-                Json::Arr(cells.iter().map(calibration_cell_to_json).collect()),
-            ),
-        ]),
-        ExperimentOutput::Enterprise(series) => Json::Obj(vec![
-            kind("enterprise"),
-            ("cas".into(), f64_arr(&series.cas)),
-            ("das".into(), f64_arr(&series.das)),
-            ("cas_streams".into(), f64_arr(&series.cas_streams)),
-            ("das_streams".into(), f64_arr(&series.das_streams)),
-            (
-                "das_per_ap_capacity".into(),
-                f64_arr(&series.das_per_ap_capacity),
-            ),
-            ("das_per_ap_duty".into(), f64_arr(&series.das_per_ap_duty)),
-            (
-                "das_contention_degree".into(),
-                f64_arr(&series.das_contention_degree),
-            ),
-        ]),
-        ExperimentOutput::LoadVsGain(rows) => Json::Obj(vec![
-            kind("load_vs_gain"),
-            (
-                "rows".into(),
-                Json::Arr(
-                    rows.iter()
-                        .map(|row| {
-                            Json::Obj(vec![
-                                ("duty".into(), Json::Num(row.duty)),
-                                ("cas_median".into(), Json::Num(row.cas_median)),
-                                ("das_median".into(), Json::Num(row.das_median)),
-                                ("gain".into(), Json::Num(row.gain)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]),
-        ExperimentOutput::TagWidth(rows) => Json::Obj(vec![
-            kind("tag_width"),
-            (
-                "rows".into(),
-                Json::Arr(
-                    rows.iter()
-                        .map(|&(width, capacity)| {
-                            Json::Obj(vec![
-                                ("width".into(), Json::UInt(width as u64)),
-                                ("mean_capacity".into(), Json::Num(capacity)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]),
-        ExperimentOutput::DasRadius(rows) => Json::Obj(vec![
-            kind("das_radius"),
-            (
-                "rows".into(),
-                Json::Arr(
-                    rows.iter()
-                        .map(|&((lo, hi), median)| {
-                            Json::Obj(vec![
-                                ("lo".into(), Json::Num(lo)),
-                                ("hi".into(), Json::Num(hi)),
-                                ("median_capacity".into(), Json::Num(median)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]),
-        ExperimentOutput::AntennaWait(rows) => Json::Obj(vec![
-            kind("antenna_wait"),
-            (
-                "rows".into(),
-                Json::Arr(
-                    rows.iter()
-                        .map(|&(window_us, fraction)| {
-                            Json::Obj(vec![
-                                ("window_us".into(), Json::UInt(window_us)),
-                                ("gain_fraction".into(), Json::Num(fraction)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]),
+    let obj = |kind: &str, members: Vec<(&str, Json)>| {
+        let kind = ("kind".to_string(), Json::Str(kind.into()));
+        Json::Obj(
+            std::iter::once(kind)
+                .chain(members.into_iter().map(|(k, v)| (k.to_string(), v)))
+                .collect(),
+        )
+    };
+    fn rows<T>(kind: &str, rows: &[T], row: impl Fn(&T) -> Vec<(&str, Json)>) -> Json {
+        let row = |r: &T| Json::Obj(row(r).into_iter().map(|(k, v)| (k.into(), v)).collect());
+        Json::Obj(vec![
+            ("kind".into(), Json::Str(kind.into())),
+            ("rows".into(), Json::Arr(rows.iter().map(row).collect())),
+        ])
     }
+    let count = |n: usize| Json::UInt(n as u64);
+    match output {
+        ExperimentOutput::Paired(samples) => obj(
+            "paired",
+            vec![
+                ("cas", f64_arr(&samples.cas)),
+                ("das", f64_arr(&samples.das)),
+            ],
+        ),
+        ExperimentOutput::SmartPrecoding(s) => obj(
+            "smart_precoding",
+            vec![
+                ("cas_naive", f64_arr(&s.cas_naive)),
+                ("cas_smart", f64_arr(&s.cas_smart)),
+                ("das_naive", f64_arr(&s.das_naive)),
+                ("das_smart", f64_arr(&s.das_smart)),
+            ],
+        ),
+        ExperimentOutput::Ratios(ratios) => obj("ratios", vec![("ratios", f64_arr(ratios))]),
+        ExperimentOutput::Deadzones(r) => rows("deadzones", r, |row| {
+            vec![
+                ("cas_dead", count(row.cas_dead)),
+                ("das_dead", count(row.das_dead)),
+                ("total_spots", count(row.total_spots)),
+            ]
+        }),
+        ExperimentOutput::HiddenTerminals(r) => rows("hidden_terminals", r, |row| {
+            vec![
+                ("cas_spots", count(row.cas_spots)),
+                ("das_spots", count(row.das_spots)),
+                ("total_spots", count(row.total_spots)),
+            ]
+        }),
+        ExperimentOutput::EndToEnd(series) => obj(
+            "end_to_end",
+            vec![
+                ("network", paired_to_json(&series.network)),
+                ("per_client", paired_to_json(&series.per_client)),
+            ],
+        ),
+        ExperimentOutput::Calibration(cells) => obj(
+            "calibration",
+            vec![(
+                "cells",
+                Json::Arr(cells.iter().map(calibration_cell_to_json).collect()),
+            )],
+        ),
+        ExperimentOutput::Enterprise(s) => obj(
+            "enterprise",
+            vec![
+                ("cas", f64_arr(&s.cas)),
+                ("das", f64_arr(&s.das)),
+                ("cas_streams", f64_arr(&s.cas_streams)),
+                ("das_streams", f64_arr(&s.das_streams)),
+                ("das_per_ap_capacity", f64_arr(&s.das_per_ap_capacity)),
+                ("das_per_ap_duty", f64_arr(&s.das_per_ap_duty)),
+                ("das_contention_degree", f64_arr(&s.das_contention_degree)),
+            ],
+        ),
+        ExperimentOutput::LoadVsGain(r) => rows("load_vs_gain", r, |row| {
+            vec![
+                ("duty", Json::Num(row.duty)),
+                ("cas_median", Json::Num(row.cas_median)),
+                ("das_median", Json::Num(row.das_median)),
+                ("gain", Json::Num(row.gain)),
+            ]
+        }),
+        ExperimentOutput::TagWidth(r) => rows("tag_width", r, |&(width, capacity)| {
+            vec![
+                ("width", count(width)),
+                ("mean_capacity", Json::Num(capacity)),
+            ]
+        }),
+        ExperimentOutput::DasRadius(r) => rows("das_radius", r, |&((lo, hi), median)| {
+            vec![
+                ("lo", Json::Num(lo)),
+                ("hi", Json::Num(hi)),
+                ("median_capacity", Json::Num(median)),
+            ]
+        }),
+        ExperimentOutput::AntennaWait(r) => rows("antenna_wait", r, |&(window_us, fraction)| {
+            vec![
+                ("window_us", Json::UInt(window_us)),
+                ("gain_fraction", Json::Num(fraction)),
+            ]
+        }),
+    }
+}
+
+/// Decodes a `result.json` document back into the typed output: the
+/// inverse of [`encode_output`], so `encode_output(decode_output(j))`
+/// re-encodes to the same bytes.  Non-finite numbers, which the encoder
+/// writes as `null`, come back as NaN.  `None` for any other shape.
+pub fn decode_output(v: &Json) -> Option<ExperimentOutput> {
+    let num = |v: &Json| match v {
+        Json::Null => Some(f64::NAN),
+        other => other.as_f64(),
+    };
+    let count = |v: &Json| Some(v.as_u64()? as usize);
+    let floats = |v: &Json| -> Option<Vec<f64>> { v.as_arr()?.iter().map(num).collect() };
+    let paired = |v: &Json| -> Option<PairedSamples> {
+        Some(PairedSamples {
+            cas: floats(v.get("cas")?)?,
+            das: floats(v.get("das")?)?,
+        })
+    };
+    fn rows<T>(v: &Json, row: impl Fn(&Json) -> Option<T>) -> Option<Vec<T>> {
+        v.get("rows")?.as_arr()?.iter().map(row).collect()
+    }
+    Some(match v.get("kind")?.as_str()? {
+        "paired" => ExperimentOutput::Paired(paired(v)?),
+        "smart_precoding" => ExperimentOutput::SmartPrecoding(SmartPrecodingSeries {
+            cas_naive: floats(v.get("cas_naive")?)?,
+            cas_smart: floats(v.get("cas_smart")?)?,
+            das_naive: floats(v.get("das_naive")?)?,
+            das_smart: floats(v.get("das_smart")?)?,
+        }),
+        "ratios" => ExperimentOutput::Ratios(floats(v.get("ratios")?)?),
+        "deadzones" => ExperimentOutput::Deadzones(rows(v, |row| {
+            Some(DeadzoneComparison {
+                cas_dead: count(row.get("cas_dead")?)?,
+                das_dead: count(row.get("das_dead")?)?,
+                total_spots: count(row.get("total_spots")?)?,
+            })
+        })?),
+        "hidden_terminals" => ExperimentOutput::HiddenTerminals(rows(v, |row| {
+            Some(HiddenTerminalComparison {
+                cas_spots: count(row.get("cas_spots")?)?,
+                das_spots: count(row.get("das_spots")?)?,
+                total_spots: count(row.get("total_spots")?)?,
+            })
+        })?),
+        "end_to_end" => ExperimentOutput::EndToEnd(SessionSeries {
+            network: paired(v.get("network")?)?,
+            per_client: paired(v.get("per_client")?)?,
+        }),
+        "calibration" => ExperimentOutput::Calibration(
+            v.get("cells")?
+                .as_arr()?
+                .iter()
+                .map(|cell| {
+                    Some(CalibrationCell {
+                        config: PhysicalConfig {
+                            cs_threshold_dbm: num(cell.get("cs_threshold_dbm")?)?,
+                            capture_margin_db: num(cell.get("capture_margin_db")?)?,
+                            sensing_sigma_db: match cell.get("sensing_sigma_db")? {
+                                Json::Null => None,
+                                sigma => Some(num(sigma)?),
+                            },
+                        },
+                        cas_network_median: num(cell.get("cas_network_median")?)?,
+                        das_network_median: num(cell.get("das_network_median")?)?,
+                        network_gain: num(cell.get("network_gain")?)?,
+                        cas_client_median: num(cell.get("cas_client_median")?)?,
+                        das_client_median: num(cell.get("das_client_median")?)?,
+                        client_median_gain: num(cell.get("client_median_gain")?)?,
+                        score: num(cell.get("score")?)?,
+                    })
+                })
+                .collect::<Option<Vec<_>>>()?,
+        ),
+        "enterprise" => ExperimentOutput::Enterprise(EnterpriseScalingSeries {
+            cas: floats(v.get("cas")?)?,
+            das: floats(v.get("das")?)?,
+            cas_streams: floats(v.get("cas_streams")?)?,
+            das_streams: floats(v.get("das_streams")?)?,
+            das_per_ap_capacity: floats(v.get("das_per_ap_capacity")?)?,
+            das_per_ap_duty: floats(v.get("das_per_ap_duty")?)?,
+            das_contention_degree: floats(v.get("das_contention_degree")?)?,
+        }),
+        "load_vs_gain" => ExperimentOutput::LoadVsGain(rows(v, |row| {
+            Some(LoadGainRow {
+                duty: num(row.get("duty")?)?,
+                cas_median: num(row.get("cas_median")?)?,
+                das_median: num(row.get("das_median")?)?,
+                gain: num(row.get("gain")?)?,
+            })
+        })?),
+        "tag_width" => ExperimentOutput::TagWidth(rows(v, |row| {
+            Some((count(row.get("width")?)?, num(row.get("mean_capacity")?)?))
+        })?),
+        "das_radius" => ExperimentOutput::DasRadius(rows(v, |row| {
+            Some((
+                (num(row.get("lo")?)?, num(row.get("hi")?)?),
+                num(row.get("median_capacity")?)?,
+            ))
+        })?),
+        "antenna_wait" => ExperimentOutput::AntennaWait(rows(v, |row| {
+            Some((
+                row.get("window_us")?.as_u64()?,
+                num(row.get("gain_fraction")?)?,
+            ))
+        })?),
+        _ => return None,
+    })
 }
 
 fn calibration_cell_to_json(cell: &CalibrationCell) -> Json {
@@ -635,5 +601,100 @@ mod tests {
             "{\"kind\":\"paired\",\"cas\":[1.5,2.25],\"das\":[3.0,4.125]}\n"
         );
         assert_eq!(result_bytes(&output), bytes);
+    }
+
+    #[test]
+    fn decode_inverts_encode_for_every_output_kind() {
+        let paired = PairedSamples {
+            cas: vec![1.5, f64::NAN],
+            das: vec![3.0, 4.125],
+        };
+        let cell = CalibrationCell {
+            config: PhysicalConfig::calibrated(),
+            cas_network_median: 10.0,
+            das_network_median: 12.5,
+            network_gain: 0.25,
+            cas_client_median: 1.0,
+            das_client_median: 1.75,
+            client_median_gain: 0.75,
+            score: 0.0,
+        };
+        let outputs = vec![
+            ExperimentOutput::Paired(paired.clone()),
+            ExperimentOutput::SmartPrecoding(SmartPrecodingSeries {
+                cas_naive: vec![1.0],
+                cas_smart: vec![2.0],
+                das_naive: vec![3.0],
+                das_smart: vec![4.0],
+            }),
+            ExperimentOutput::Ratios(vec![1.25, 0.5]),
+            ExperimentOutput::Deadzones(vec![DeadzoneComparison {
+                cas_dead: 9,
+                das_dead: 2,
+                total_spots: 100,
+            }]),
+            ExperimentOutput::HiddenTerminals(vec![HiddenTerminalComparison {
+                cas_spots: 7,
+                das_spots: 0,
+                total_spots: 50,
+            }]),
+            ExperimentOutput::EndToEnd(SessionSeries {
+                network: paired.clone(),
+                per_client: paired,
+            }),
+            ExperimentOutput::Calibration(vec![
+                cell,
+                CalibrationCell {
+                    config: PhysicalConfig {
+                        sensing_sigma_db: None,
+                        ..cell.config
+                    },
+                    ..cell
+                },
+            ]),
+            ExperimentOutput::Enterprise(EnterpriseScalingSeries {
+                cas: vec![1.0],
+                das: vec![2.0],
+                cas_streams: vec![3.0],
+                das_streams: vec![4.0],
+                das_per_ap_capacity: vec![5.0, 6.0],
+                das_per_ap_duty: vec![0.5, 0.25],
+                das_contention_degree: vec![1.5],
+            }),
+            ExperimentOutput::LoadVsGain(vec![LoadGainRow {
+                duty: 0.5,
+                cas_median: 8.0,
+                das_median: 10.0,
+                gain: 1.25,
+            }]),
+            ExperimentOutput::TagWidth(vec![(1, 20.5), (2, 17.25)]),
+            ExperimentOutput::DasRadius(vec![((0.25, 0.5), 28.0)]),
+            ExperimentOutput::AntennaWait(vec![(0, 0.0), (34, 0.625)]),
+        ];
+        // The result.json format of every kind, pinned: cached results
+        // must keep reading back.
+        let pinned = [
+            r#"{"kind":"paired","cas":[1.5,null],"das":[3.0,4.125]}"#,
+            r#"{"kind":"smart_precoding","cas_naive":[1.0],"cas_smart":[2.0],"das_naive":[3.0],"das_smart":[4.0]}"#,
+            r#"{"kind":"ratios","ratios":[1.25,0.5]}"#,
+            r#"{"kind":"deadzones","rows":[{"cas_dead":9,"das_dead":2,"total_spots":100}]}"#,
+            r#"{"kind":"hidden_terminals","rows":[{"cas_spots":7,"das_spots":0,"total_spots":50}]}"#,
+            r#"{"kind":"end_to_end","network":{"cas":[1.5,null],"das":[3.0,4.125]},"per_client":{"cas":[1.5,null],"das":[3.0,4.125]}}"#,
+            r#"{"kind":"calibration","cells":[{"cs_threshold_dbm":-86.0,"capture_margin_db":10.0,"sensing_sigma_db":3.0,"cas_network_median":10.0,"das_network_median":12.5,"network_gain":0.25,"cas_client_median":1.0,"das_client_median":1.75,"client_median_gain":0.75,"score":0.0},{"cs_threshold_dbm":-86.0,"capture_margin_db":10.0,"sensing_sigma_db":null,"cas_network_median":10.0,"das_network_median":12.5,"network_gain":0.25,"cas_client_median":1.0,"das_client_median":1.75,"client_median_gain":0.75,"score":0.0}]}"#,
+            r#"{"kind":"enterprise","cas":[1.0],"das":[2.0],"cas_streams":[3.0],"das_streams":[4.0],"das_per_ap_capacity":[5.0,6.0],"das_per_ap_duty":[0.5,0.25],"das_contention_degree":[1.5]}"#,
+            r#"{"kind":"load_vs_gain","rows":[{"duty":0.5,"cas_median":8.0,"das_median":10.0,"gain":1.25}]}"#,
+            r#"{"kind":"tag_width","rows":[{"width":1,"mean_capacity":20.5},{"width":2,"mean_capacity":17.25}]}"#,
+            r#"{"kind":"das_radius","rows":[{"lo":0.25,"hi":0.5,"median_capacity":28.0}]}"#,
+            r#"{"kind":"antenna_wait","rows":[{"window_us":0,"gain_fraction":0.0},{"window_us":34,"gain_fraction":0.625}]}"#,
+        ];
+        assert_eq!(outputs.len(), pinned.len());
+        for (output, pin) in outputs.iter().zip(pinned) {
+            let bytes = result_bytes(output);
+            assert_eq!(bytes, format!("{pin}\n"));
+            let decoded = decode_output(&Json::parse(&bytes).unwrap()).expect("decodes");
+            assert_eq!(result_bytes(&decoded), bytes);
+        }
+        let unknown = Json::Obj(vec![("kind".into(), Json::Str("nope".into()))]);
+        assert!(decode_output(&unknown).is_none());
     }
 }

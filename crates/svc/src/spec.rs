@@ -131,10 +131,7 @@ impl JobSpec {
     /// Whether the experiment runs through the session machinery (and so
     /// accepts traffic/coherence/dynamics knobs and streams a round log).
     pub fn is_session_driven(&self) -> bool {
-        matches!(
-            self.experiment,
-            ExperimentSpec::EndToEnd { .. } | ExperimentSpec::EnterpriseScaling { .. }
-        )
+        self.experiment.is_session_driven()
     }
 
     /// Parses and validates spec text.

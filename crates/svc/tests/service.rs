@@ -5,8 +5,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use midas::experiment::end_to_end_series;
-use midas::sim::{ContentionModel, ExperimentOutput, ExperimentSpec};
+use midas::sim::{ContentionModel, DynamicsSpec, ExperimentSpec, SessionBuilder, TrafficKind};
 use midas_net::scale::Scenario;
 use midas_svc::json::Json;
 use midas_svc::pool::{JobOutcome, JobQueue};
@@ -35,51 +34,77 @@ fn small_end_to_end(seed: u64) -> JobSpec {
     )
 }
 
-#[test]
-fn result_json_is_byte_identical_to_the_in_process_run() {
-    let jobs = scratch("ident");
-    let spec = small_end_to_end(9001);
-    let queue = JobQueue::new(jobs.clone(), 1).unwrap();
-    let job = queue.submit(spec).unwrap();
-    assert!(matches!(
-        job.wait(),
-        JobOutcome::Done {
-            cache_hit: false,
-            ..
-        }
-    ));
-    queue.drain();
-
-    // The in-process reference: the identical recipe through the
-    // library's own entry point.
-    let series = end_to_end_series(false, 2, 3, 9001, ContentionModel::Graph);
-    let expect = result_bytes(&ExperimentOutput::EndToEnd(series));
-    let got = std::fs::read_to_string(job.dir().join("result.json")).unwrap();
-    assert_eq!(got, expect);
-    std::fs::remove_dir_all(&jobs).ok();
+/// A shipped spec file, parsed.
+fn spec_file(name: &str) -> JobSpec {
+    let text = std::fs::read_to_string(specs_dir().join(name)).unwrap();
+    JobSpec::from_json_str(&text).unwrap()
 }
 
 #[test]
 fn service_run_matches_experiment_spec_run() {
-    // The acceptance contract: the service result for a default-knob spec
-    // is byte-for-byte the encoding of `ExperimentSpec::run(seed)`.
+    // The acceptance contract, for both session recipes: the queue's
+    // result.json is byte-for-byte the encoding of the core entry run with
+    // the same knobs.
+    let enterprise = JobSpec::new(
+        ExperimentSpec::EnterpriseScaling {
+            scenario: Scenario::enterprise_office(8),
+            topologies: 1,
+            rounds: 2,
+        },
+        4242,
+    );
+    let mut enterprise_knobs = enterprise.clone();
+    enterprise_knobs.traffic = TrafficKind::OnOff {
+        duty: 0.5,
+        mean_burst_rounds: 4.0,
+    };
+    enterprise_knobs.dynamics = Some(DynamicsSpec::roaming_walk(1.4));
+    let cases = [
+        ("smoke_3ap", spec_file("smoke_3ap.json")),
+        ("fig16_8ap", spec_file("fig16_8ap.json")),
+        ("enterprise", enterprise),
+        ("enterprise_knobs", enterprise_knobs),
+    ];
+
     let jobs = scratch("spec-run");
-    let spec = small_end_to_end(4242);
-    let reference = result_bytes(&spec.experiment.run(spec.seed));
-
     let queue = JobQueue::new(jobs.clone(), 1).unwrap();
-    let job = queue.submit(spec).unwrap();
-    assert!(matches!(
-        job.wait(),
-        JobOutcome::Done {
-            cache_hit: false,
-            ..
+    let mut results = Vec::new();
+    for (name, spec) in cases {
+        spec.validate().unwrap();
+        let configure = |builder: SessionBuilder| {
+            let builder = builder.traffic(spec.traffic);
+            match spec.dynamics {
+                Some(dynamics) => builder.dynamics(dynamics),
+                None => builder,
+            }
+        };
+        let reference = spec
+            .experiment
+            .run_observed(spec.seed, configure, None)
+            .map(|output| result_bytes(&output))
+            .unwrap();
+        if spec.traffic == TrafficKind::FullBuffer && spec.dynamics.is_none() {
+            assert_eq!(reference, result_bytes(&spec.experiment.run(spec.seed)));
         }
-    ));
-    queue.drain();
 
-    let got = std::fs::read_to_string(job.dir().join("result.json")).unwrap();
-    assert_eq!(got, reference);
+        let job = queue.submit(spec).unwrap();
+        assert!(
+            matches!(
+                job.wait(),
+                JobOutcome::Done {
+                    cache_hit: false,
+                    ..
+                }
+            ),
+            "{name}"
+        );
+        let got = std::fs::read_to_string(job.dir().join("result.json")).unwrap();
+        assert_eq!(got, reference, "{name}");
+        results.push(got);
+    }
+    // The knobs reach the recipe: the same floor reads differently under them.
+    assert_ne!(results[2], results[3]);
+    queue.drain();
     std::fs::remove_dir_all(&jobs).ok();
 }
 
@@ -276,31 +301,6 @@ fn every_shipped_spec_file_parses() {
         seen >= 4,
         "expected the shipped example specs, found {seen}"
     );
-}
-
-#[test]
-fn fig16_acceptance_spec_is_byte_identical_to_experiment_spec_run() {
-    // The PR's acceptance check, pinned: `midas run specs/fig16_8ap.json`
-    // must produce a result.json byte-for-byte equal to the in-process
-    // `ExperimentSpec::run` output.
-    let text = std::fs::read_to_string(specs_dir().join("fig16_8ap.json")).unwrap();
-    let spec = JobSpec::from_json_str(&text).unwrap();
-    let reference = result_bytes(&spec.experiment.run(spec.seed));
-
-    let jobs = scratch("fig16");
-    let queue = JobQueue::new(jobs.clone(), 1).unwrap();
-    let job = queue.submit(spec).unwrap();
-    assert!(matches!(
-        job.wait(),
-        JobOutcome::Done {
-            cache_hit: false,
-            ..
-        }
-    ));
-    queue.drain();
-    let got = std::fs::read_to_string(job.dir().join("result.json")).unwrap();
-    assert_eq!(got, reference);
-    std::fs::remove_dir_all(&jobs).ok();
 }
 
 #[test]
