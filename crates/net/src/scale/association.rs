@@ -67,51 +67,90 @@ fn best_rssi_dbm(
     rssi_at(env, best_distance(topo, ap_id, p, chassis_only))
 }
 
+/// Static index over every AP chassis and antenna position, tagged with the
+/// owning AP — the candidate source of both [`associate`] and
+/// [`Reassociator`].  APs never move, so one build serves every query.
+struct ApIndex {
+    /// Every AP chassis and antenna position, inserted AP by AP (chassis
+    /// first), so ascending point ids map to non-decreasing AP ids.
+    points: SpatialIndex,
+    /// Point id → owning AP id.
+    owner: Vec<u32>,
+    /// Beyond this distance no AP is a plausible candidate.
+    candidate_radius: f64,
+    /// Query scratch, sized for every indexed point up front.
+    scratch: Vec<usize>,
+}
+
+impl ApIndex {
+    fn new(topo: &Topology, env: &Environment) -> Self {
+        let mut points = SpatialIndex::new(topo.region, env.coverage_range_m().max(1.0));
+        let mut owner = Vec::new();
+        for ap in &topo.aps {
+            for &p in std::iter::once(&ap.position).chain(&ap.antennas) {
+                points.insert(p);
+                owner.push(ap.ap_id as u32);
+            }
+        }
+        ApIndex {
+            scratch: Vec::with_capacity(owner.len()),
+            points,
+            owner,
+            candidate_radius: 2.0 * env.coverage_range_m(),
+        }
+    }
+
+    fn heap_footprint_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.points.heap_footprint_bytes()
+            + self.owner.capacity() * size_of::<u32>()
+            + self.scratch.capacity() * size_of::<usize>()
+    }
+
+    /// Queries the APs with a chassis or antenna within `radius` of `p`; read
+    /// them back with [`ApIndex::candidates`].
+    fn query(&mut self, p: &Point, radius: f64) {
+        self.points
+            .neighbors_within_into(p, radius, &mut self.scratch);
+    }
+
+    /// The distinct APs of the last [`ApIndex::query`], in ascending id
+    /// order: ascending point ids visit each AP in one run.
+    fn candidates(&self) -> impl Iterator<Item = usize> + '_ {
+        let mut last = u32::MAX;
+        self.scratch.iter().filter_map(move |&id| {
+            let ap = self.owner[id];
+            (ap != last).then(|| {
+                last = ap;
+                ap as usize
+            })
+        })
+    }
+}
+
 /// Re-associates every client of `topo` under `policy`.
 ///
 /// Candidate APs per client are discovered through a [`SpatialIndex`] over
-/// all antenna positions (O(k) per client instead of a scan over every AP);
-/// a client out of range of every antenna falls back to the globally
-/// strongest AP so nobody is left orphaned.
+/// all chassis and antenna positions (O(k) per client instead of a scan over
+/// every AP); a client out of range of every antenna falls back to the
+/// globally strongest AP so nobody is left orphaned.
 pub fn associate(topo: &mut Topology, env: &Environment, policy: AssociationPolicy) {
     if topo.aps.is_empty() {
         return;
     }
-    // Index every antenna plus every chassis, tagged with its AP.
-    let mut owner: Vec<usize> = Vec::new();
-    let mut index = SpatialIndex::new(topo.region, env.coverage_range_m().max(1.0));
-    for ap in &topo.aps {
-        index.insert(ap.position);
-        owner.push(ap.ap_id);
-        for &a in &ap.antennas {
-            index.insert(a);
-            owner.push(ap.ap_id);
-        }
-    }
-    // Beyond twice the coverage range no AP is a plausible candidate; the
-    // global fallback below covers pathological floors.
-    let candidate_radius = 2.0 * env.coverage_range_m();
-
+    let mut index = ApIndex::new(topo, env);
+    let chassis_only = policy == AssociationPolicy::NearestAp;
     let mut loads = vec![0usize; topo.aps.len()];
-    let positions: Vec<Point> = topo.clients.iter().map(|c| c.position).collect();
-    let mut chosen: Vec<usize> = Vec::with_capacity(positions.len());
-    for p in &positions {
-        let mut candidates: Vec<usize> = index
-            .neighbors_within(p, candidate_radius)
-            .into_iter()
-            .map(|id| owner[id])
-            .collect();
-        candidates.sort_unstable();
-        candidates.dedup();
-        if candidates.is_empty() {
-            candidates = (0..topo.aps.len()).collect();
+    let mut scored: Vec<(usize, f64)> = Vec::new();
+    for cid in 0..topo.clients.len() {
+        let p = topo.clients[cid].position;
+        index.query(&p, index.candidate_radius);
+        let score = |ap| (ap, best_rssi_dbm(env, topo, ap, &p, chassis_only));
+        scored.clear();
+        scored.extend(index.candidates().map(score));
+        if scored.is_empty() {
+            scored.extend((0..topo.aps.len()).map(score));
         }
-
-        let chassis_only = policy == AssociationPolicy::NearestAp;
-        let scored: Vec<(usize, f64)> = candidates
-            .iter()
-            .map(|&ap| (ap, best_rssi_dbm(env, topo, ap, p, chassis_only)))
-            .collect();
         let best = scored
             .iter()
             .copied()
@@ -145,10 +184,9 @@ pub fn associate(topo: &mut Topology, env: &Environment, policy: AssociationPoli
             }
         };
         loads[pick] += 1;
-        chosen.push(pick);
-    }
-    for (client, ap_id) in topo.clients.iter_mut().zip(chosen) {
-        client.ap_id = ap_id;
+        // A client's choice reads only positions and `loads`, never another
+        // client's `ap_id`, so it can be written back at once.
+        topo.clients[cid].ap_id = pick;
     }
 }
 
@@ -192,44 +230,22 @@ pub fn associate(topo: &mut Topology, env: &Environment, policy: AssociationPoli
 /// [`AntennaAware`]: AssociationPolicy::AntennaAware
 /// [`LoadBalanced`]: AssociationPolicy::LoadBalanced
 pub struct Reassociator {
-    /// Every AP chassis and antenna position, inserted AP by AP, so
-    /// ascending point ids map to non-decreasing AP ids.
-    points: SpatialIndex,
-    /// Point id → owning AP id.
-    owner: Vec<u32>,
-    candidate_radius: f64,
+    index: ApIndex,
     loads: Vec<usize>,
-    /// Query scratch, sized for every indexed point up front.
-    scratch: Vec<usize>,
 }
 
 impl Reassociator {
     /// Builds the static AP-position index for `topo`.
     pub fn new(topo: &Topology, env: &Environment) -> Self {
-        let mut points = SpatialIndex::new(topo.region, env.coverage_range_m().max(1.0));
-        let mut owner = Vec::new();
-        for ap in &topo.aps {
-            for &p in std::iter::once(&ap.position).chain(&ap.antennas) {
-                points.insert(p);
-                owner.push(ap.ap_id as u32);
-            }
-        }
         Reassociator {
-            scratch: Vec::with_capacity(owner.len()),
-            points,
-            owner,
-            candidate_radius: 2.0 * env.coverage_range_m(),
+            index: ApIndex::new(topo, env),
             loads: vec![0; topo.aps.len()],
         }
     }
 
     /// Bytes of heap the roaming engine retains; fixed at construction.
     pub fn heap_footprint_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.points.heap_footprint_bytes()
-            + self.owner.capacity() * size_of::<u32>()
-            + self.loads.capacity() * size_of::<usize>()
-            + self.scratch.capacity() * size_of::<usize>()
+        self.index.heap_footprint_bytes() + self.loads.capacity() * std::mem::size_of::<usize>()
     }
 
     /// One incumbent-aware re-association pass over every client (in client
@@ -258,27 +274,12 @@ impl Reassociator {
             let incumbent = topo.clients[cid].ap_id;
             let incumbent_d = best_distance(topo, incumbent, &p, chassis_only);
             let incumbent_rssi = rssi_at(env, incumbent_d);
-            self.points.neighbors_within_into(
-                &p,
-                incumbent_d.min(self.candidate_radius),
-                &mut self.scratch,
-            );
-            // Ascending point ids visit each candidate AP in one run.
-            let owner = &self.owner;
-            let candidates = || {
-                let mut last = u32::MAX;
-                self.scratch.iter().filter_map(move |&id| {
-                    let ap = owner[id];
-                    (ap != last).then(|| {
-                        last = ap;
-                        ap as usize
-                    })
-                })
-            };
+            self.index
+                .query(&p, incumbent_d.min(self.index.candidate_radius));
 
             let mut best_ap = incumbent;
             let mut best_rssi = incumbent_rssi;
-            for ap in candidates() {
+            for ap in self.index.candidates() {
                 if ap == incumbent {
                     continue;
                 }
@@ -298,7 +299,7 @@ impl Reassociator {
                     // same total order the fresh pass uses.
                     let mut pick = best_ap;
                     let mut pick_load = self.loads[best_ap];
-                    for ap in candidates() {
+                    for ap in self.index.candidates() {
                         let s = best_rssi_dbm(env, topo, ap, &p, chassis_only);
                         if s >= best_rssi - hysteresis && (self.loads[ap], ap) < (pick_load, pick) {
                             pick = ap;

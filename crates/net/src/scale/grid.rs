@@ -215,11 +215,35 @@ impl FloorGrid {
     }
 
     /// Generates one deployment of this floor: grid APs with antennas placed
-    /// per `config`, clients scattered by the placement model and initially
-    /// associated to their nearest AP (use
-    /// [`crate::scale::association::associate`] to re-associate under a
-    /// smarter policy).
+    /// per `config`, and clients scattered by the placement model, each
+    /// associated to its nearest AP chassis by a scan over every AP (mean
+    /// RSSI is monotone in distance, so this is the
+    /// [`AssociationPolicy::NearestAp`] choice without needing an
+    /// environment).  Use [`crate::scale::association::associate`] to
+    /// re-associate under a smarter policy; [`FloorGrid::generate_paired`]
+    /// does exactly that and skips the nearest-chassis scan.
     pub fn generate(
+        &self,
+        config: &TopologyConfig,
+        rng: &mut SimRng,
+    ) -> Result<Topology, FloorGridError> {
+        let mut topo = self.scatter(config, rng)?;
+        for client in &mut topo.clients {
+            let mut best = (0usize, f64::INFINITY);
+            for ap in &topo.aps {
+                let d = ap.position.distance(&client.position);
+                if d < best.1 {
+                    best = (ap.ap_id, d);
+                }
+            }
+            client.ap_id = best.0;
+        }
+        Ok(topo)
+    }
+
+    /// The draws of [`FloorGrid::generate`] — APs, antennas, clients — with
+    /// every client left on AP 0, for callers that associate afterwards.
+    fn scatter(
         &self,
         config: &TopologyConfig,
         rng: &mut SimRng,
@@ -277,21 +301,6 @@ impl FloorGrid {
             }
         }
 
-        // Baseline nearest-chassis association so the topology is valid even
-        // if the caller never applies a policy (mean RSSI is monotone in
-        // distance, so this is the NearestAp policy without needing an
-        // environment).
-        for client in &mut clients {
-            let mut best = (0usize, f64::INFINITY);
-            for ap in &aps {
-                let d = ap.position.distance(&client.position);
-                if d < best.1 {
-                    best = (ap.ap_id, d);
-                }
-            }
-            client.ap_id = best.0;
-        }
-
         Ok(Topology {
             region,
             aps,
@@ -335,7 +344,9 @@ impl FloorGrid {
     /// given (DAS) antenna config, with each variant associated under
     /// `policy` against **its own** antenna geometry — distributed antennas
     /// genuinely shape association, which is part of the MIDAS story at
-    /// scale.
+    /// scale.  The draws are those of [`FloorGrid::generate`]; its
+    /// nearest-chassis pass is skipped, since both variants are associated
+    /// afresh.
     pub fn generate_paired(
         &self,
         config: &TopologyConfig,
@@ -347,7 +358,7 @@ impl FloorGrid {
             kind: DeploymentKind::Das,
             ..*config
         };
-        let das = self.generate(&das_config, rng)?;
+        let das = self.scatter(&das_config, rng)?;
         let mut pair = PairedTopology::from_das(das, config, rng);
         associate(&mut pair.cas, env, policy);
         associate(&mut pair.das, env, policy);

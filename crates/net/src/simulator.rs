@@ -395,8 +395,8 @@ struct RoundWorkspace {
     served: Vec<usize>,
     unserved: Vec<usize>,
     served_mask: Vec<bool>,
-    /// Per-AP global ids of the AP's own clients, in `clients_of` order —
-    /// prebuilt so the round loop never re-filters the client list.
+    /// Per-AP global ids of the AP's own clients, in id order — prebuilt so
+    /// neither construction nor the round loop re-filters the client list.
     own_clients: Vec<Vec<usize>>,
     /// Global client id → AP-local index within its owning AP.
     local_of: Vec<u32>,
@@ -505,12 +505,15 @@ impl RoundWorkspace {
 /// no reason to realise, store or evolve those rows: per-AP channel state
 /// shrinks from O(all clients) to O(clients in range), which is what turns
 /// the simulator's per-round cost from O(n²) into O(n·k) at enterprise
-/// scale.  Rows are indexed by *global* client id through `row_of`.
+/// scale.  Row `r` of `ch` belongs to global client `clients[r]`; a client's
+/// row is looked up in that ascending list, so the index costs 4 bytes per
+/// row and nothing per out-of-range client.
 struct ApChannel {
     ch: ChannelMatrix,
-    /// Global client id → row of `ch`; `None` when the client is out of
-    /// radio range of every antenna of this AP (its channel is never read).
-    row_of: Vec<Option<u32>>,
+    /// Row → global client id, strictly ascending: every client within the
+    /// interaction range of any of this AP's antennas, plus the AP's own
+    /// clients (all clients when rows are dense).
+    clients: Vec<u32>,
     /// Per-row next evolution boundary (round number).  A row whose entry
     /// is `b` has absorbed every keyed innovation for boundaries `< b`; lazy
     /// catch-up replays boundaries `b, b+interval, …` up to the current
@@ -526,8 +529,37 @@ struct ApChannel {
 }
 
 impl ApChannel {
+    /// Row of `ch` holding global client `client`'s channel.  Panics when the
+    /// client is out of radio range of every antenna of this AP (its channel
+    /// is never read).
     fn row(&self, client: usize) -> usize {
-        self.row_of[client].expect("channel row requested for an out-of-range client") as usize
+        let id = u32::try_from(client).ok();
+        // Dense rows list every client in id order, so row == client; that
+        // probe answers them in O(1) and leaves sparse rows to the search.
+        if id.is_some() && self.clients.get(client).copied() == id {
+            return client;
+        }
+        id.and_then(|c| self.clients.binary_search(&c).ok())
+            .expect("channel row requested for an out-of-range client")
+    }
+
+    /// Bytes of heap this AP's channel state retains (vector capacities;
+    /// the matrices are allocated at their exact size).  The exhaustive
+    /// destructure makes a new field a compile error here until it is
+    /// accounted for.
+    #[cfg(test)]
+    fn heap_footprint_bytes(&self) -> usize {
+        use std::mem::{size_of, size_of_val};
+        let ApChannel {
+            ch,
+            clients,
+            next_boundary,
+            g_version,
+        } = self;
+        size_of_val(ch.h.data())
+            + size_of_val(ch.large_scale.data())
+            + clients.capacity() * size_of::<u32>()
+            + (next_boundary.capacity() + g_version.capacity()) * size_of::<u64>()
     }
 
     /// Brings `client`'s large-scale gains to position version `version`
@@ -616,6 +648,9 @@ impl NetworkSimulator {
 
         let num_clients = topo.clients.len();
         let cutoff = config.interaction_range_m;
+        // One O(clients) bucketing pass: each AP's own clients in id order,
+        // shared by the row sets, DRR and tags below and the round loop.
+        let workspace = RoundWorkspace::for_simulator(&topo, &config);
         // With dynamics on, every client gets a row at every AP: mobility
         // and roaming would otherwise need sparse row insertion as clients
         // wander into range of new APs mid-run.
@@ -627,6 +662,8 @@ impl NetworkSimulator {
                 &topo.clients.iter().map(|c| c.position).collect::<Vec<_>>(),
             )
         });
+        let mut visible = Vec::new();
+        let mut neighbors = Vec::new();
         let channels: Vec<ApChannel> = topo
             .aps
             .iter()
@@ -635,41 +672,34 @@ impl NetworkSimulator {
                 // this AP's antennas (their signal/interference is exactly
                 // zero beyond it), plus the AP's own clients so scheduling
                 // state is always defined.
-                let mut visible: Vec<usize> = if let Some(index) = &client_index {
-                    let mut v: Vec<usize> = ap
-                        .antennas
-                        .iter()
-                        .flat_map(|a| index.neighbors_within(a, cutoff))
-                        .collect();
-                    v.extend(
-                        topo.clients
-                            .iter()
-                            .filter(|c| c.ap_id == ap.ap_id)
-                            .map(|c| c.id),
-                    );
-                    v.sort_unstable();
-                    v.dedup();
-                    v
+                visible.clear();
+                if let Some(index) = &client_index {
+                    for a in &ap.antennas {
+                        index.neighbors_within_into(a, cutoff, &mut neighbors);
+                        visible.extend_from_slice(&neighbors);
+                    }
+                    visible.extend_from_slice(&workspace.own_clients[ap.ap_id]);
+                    visible.sort_unstable();
+                    visible.dedup();
                 } else {
-                    (0..num_clients).collect()
-                };
-                visible.shrink_to_fit();
+                    visible.extend(0..num_clients);
+                }
                 let positions: Vec<Point> =
                     visible.iter().map(|&c| topo.clients[c].position).collect();
                 let ch = model.realize_positions(&ap.antennas, &positions);
-                let mut row_of = vec![None; num_clients];
-                for (row, &c) in visible.iter().enumerate() {
-                    row_of[c] = Some(row as u32);
-                }
-                let next_boundary = vec![0; visible.len()];
+                let clients: Vec<u32> = visible
+                    .iter()
+                    .map(|&c| u32::try_from(c).expect("client ids fit in u32"))
+                    .collect();
+                let next_boundary = vec![0; clients.len()];
                 let g_version = if dense_rows {
-                    vec![0; visible.len()]
+                    vec![0; clients.len()]
                 } else {
                     Vec::new()
                 };
                 ApChannel {
                     ch,
-                    row_of,
+                    clients,
                     next_boundary,
                     g_version,
                 }
@@ -679,21 +709,20 @@ impl NetworkSimulator {
         let mut drr = Vec::new();
         let mut tags = Vec::new();
         for ap in &topo.aps {
-            let own_clients = topo.clients_of(ap.ap_id);
+            let own_clients = &workspace.own_clients[ap.ap_id];
             drr.push(DrrScheduler::new(own_clients.len()));
             // Tagging is driven by mean RSSI of each own client from each antenna.
             let rssi: Vec<Vec<f64>> = own_clients
                 .iter()
-                .map(|c| {
+                .map(|&c| {
                     (0..ap.num_antennas())
-                        .map(|k| channels[ap.ap_id].mean_rssi_dbm(c.id, k))
+                        .map(|k| channels[ap.ap_id].mean_rssi_dbm(c, k))
                         .collect()
                 })
                 .collect();
             tags.push(TagTable::from_rssi(&rssi, config.tag_width));
         }
 
-        let workspace = RoundWorkspace::for_simulator(&topo, &config);
         let dynamics = config
             .dynamics
             .map(|spec| DynamicsState::new(&spec, &topo, &config.env, config.seed));
@@ -985,6 +1014,16 @@ impl NetworkSimulator {
         self.large_scale_refreshes
     }
 
+    /// Channel rows realised — the channel layer's work counter: summed over
+    /// APs, the clients within the interaction range of any of the AP's
+    /// antennas plus the AP's own clients (every client at every AP when the
+    /// range is infinite or dynamics are on).  Rows are realised once, at
+    /// construction, so this is also the row count per-AP channel memory is
+    /// proportional to.
+    pub fn rows_realised(&self) -> usize {
+        self.channels.iter().map(|apch| apch.clients.len()).sum()
+    }
+
     /// Bytes of heap the dynamics layer retains (0 when dynamics are off);
     /// stable once warm, which the long-horizon footprint test pins.
     pub fn dynamics_heap_footprint_bytes(&self) -> usize {
@@ -1248,11 +1287,7 @@ impl NetworkSimulator {
         if self.eager_counter_evolve {
             // Test reference: every in-range row of every AP, every round.
             for (ap_id, apch) in self.channels.iter().enumerate() {
-                for (client, row) in apch.row_of.iter().enumerate() {
-                    if row.is_some() {
-                        touched.push((ap_id as u32, client as u32));
-                    }
-                }
+                touched.extend(apch.clients.iter().map(|&client| (ap_id as u32, client)));
             }
         } else {
             // Serving rows: read by precode and by the evaluate stage's
@@ -1308,9 +1343,7 @@ impl NetworkSimulator {
         if threads <= 1 {
             for &(ap, client) in touched.iter() {
                 let apch = &mut self.channels[ap as usize];
-                let row = apch.row_of[client as usize]
-                    .expect("touched row must be in range of its AP")
-                    as usize;
+                let row = apch.row(client as usize);
                 let mut boundary = apch.next_boundary[row];
                 if boundary > current_boundary {
                     continue; // up to date within this coherence interval
@@ -1373,9 +1406,7 @@ impl NetworkSimulator {
                     let mut pairs = Vec::new();
                     for (i, &(ap, client)) in my_jobs.iter().enumerate() {
                         let apch = &channels[ap as usize];
-                        let row = apch.row_of[client as usize]
-                            .expect("touched row must be in range of its AP")
-                            as usize;
+                        let row = apch.row(client as usize);
                         let seg = &mut mine[my_offsets[i] - base..my_offsets[i + 1] - base];
                         seg.copy_from_slice(apch.ch.h.row(row));
                         let g_row = apch.ch.large_scale.row(row);
@@ -1401,8 +1432,7 @@ impl NetworkSimulator {
         // Phase B: serial copy-back + bookkeeping.
         for (i, &(ap, client)) in touched.iter().enumerate() {
             let apch = &mut self.channels[ap as usize];
-            let row = apch.row_of[client as usize].expect("touched row must be in range of its AP")
-                as usize;
+            let row = apch.row(client as usize);
             if apch.next_boundary[row] > current_boundary {
                 continue; // was already up to date; scratch holds an unchanged copy
             }
@@ -1642,6 +1672,89 @@ mod tests {
                 .any(|ap| (0..sim.topo.clients.len()).any(|c| current(ap, c) != fresh(ap, c)));
         }
         assert!(stale_rows_seen, "every row was refreshed: not lazy");
+    }
+
+    /// A 12-AP DAS floor (90 × 30 m) simulated with a 20 m interaction
+    /// range, so most clients are out of range of most APs.
+    fn finite_range_sim(clients_per_ap: usize) -> NetworkSimulator {
+        use crate::scale::grid::FloorGrid;
+        use midas_channel::topology::TopologyConfig;
+        let grid = FloorGrid {
+            clients_per_ap,
+            ..FloorGrid::new(6, 2, 15.0)
+        };
+        let topo = grid
+            .generate(&TopologyConfig::das(4, 4), &mut SimRng::new(43))
+            .expect("valid grid");
+        let mut config = NetworkSimConfig::midas(Environment::open_plan(), 43);
+        config.interaction_range_m = 20.0;
+        NetworkSimulator::new(topo, config)
+    }
+
+    #[test]
+    fn rows_realised_counts_clients_in_range_plus_own_clients() {
+        let sim = finite_range_sim(8);
+        let cutoff = sim.config.interaction_range_m;
+        let brute_force: usize = sim
+            .topo
+            .aps
+            .iter()
+            .map(|ap| {
+                sim.topo
+                    .clients
+                    .iter()
+                    .filter(|c| {
+                        c.ap_id == ap.ap_id
+                            || ap
+                                .antennas
+                                .iter()
+                                .any(|a| a.distance(&c.position) <= cutoff)
+                    })
+                    .count()
+            })
+            .sum();
+        assert_eq!(sim.rows_realised(), brute_force);
+        assert_eq!(sim.rows_realised(), 524);
+        assert!(sim.rows_realised() < sim.topo.aps.len() * sim.topo.clients.len());
+    }
+
+    #[test]
+    fn channel_heap_is_proportional_to_rows_not_floor_clients() {
+        use std::mem::size_of;
+        // One row: an antenna-wide `h` and `large_scale` row, the row's
+        // client id and its evolution bookmark.
+        let per_row = |antennas: usize| {
+            antennas * (size_of::<Complex>() + size_of::<f64>())
+                + size_of::<u32>()
+                + size_of::<u64>()
+        };
+        for clients_per_ap in [4, 32] {
+            let sim = finite_range_sim(clients_per_ap);
+            for (apch, ap) in sim.channels.iter().zip(&sim.topo.aps) {
+                assert_eq!(
+                    apch.heap_footprint_bytes(),
+                    apch.clients.len() * per_row(ap.num_antennas()),
+                    "AP {} on a {}-client floor",
+                    ap.ap_id,
+                    sim.topo.clients.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "channel row requested for an out-of-range client")]
+    fn row_lookup_of_an_out_of_range_client_panics() {
+        let sim = finite_range_sim(8);
+        let cutoff = sim.config.interaction_range_m;
+        let ap = &sim.topo.aps[0];
+        let far = sim
+            .topo
+            .clients
+            .iter()
+            .find(|c| c.ap_id != 0 && ap.antennas.iter().all(|a| a.distance(&c.position) > cutoff))
+            .expect("some client is out of range of AP 0");
+        sim.channels[0].row(far.id);
     }
 
     #[test]

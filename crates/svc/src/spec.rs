@@ -1131,6 +1131,20 @@ pub fn experiment_to_json(spec: &ExperimentSpec) -> Json {
     Json::Obj(members)
 }
 
+/// Peak resident bytes per AP of a static floor: the 1024-AP / 8192-client
+/// `enterprise_office` floor peaks at ≈38.7 MiB, i.e. ≈38.7 KiB per AP.  A
+/// static floor's memory grows linearly with its APs, because each AP keeps
+/// only the channel rows of the clients in its radio range.
+const BYTES_PER_AP: usize = 39_629;
+
+/// Memory budget of one job.
+const JOB_BUDGET_BYTES: usize = 1 << 30;
+
+/// Largest floor an `enterprise_scaling` spec may ask for: the job budget
+/// over the bytes per AP, 2^30 B ÷ 39,629 B = 27,094 APs.  Larger floors are
+/// refused at decode, before anything is allocated for them.
+const MAX_FLOOR_APS: usize = JOB_BUDGET_BYTES / BYTES_PER_AP;
+
 /// Decodes `{"kind": ..., ...}` back into an [`ExperimentSpec`].
 pub fn experiment_from_json(v: &Json, path: &str) -> Result<ExperimentSpec, DecodeError> {
     let kind_path = format!("{path}.kind");
@@ -1250,6 +1264,15 @@ pub fn experiment_from_json(v: &Json, path: &str) -> Result<ExperimentSpec, Deco
             let scenario_path = format!("{path}.scenario");
             let name = take_str(field(v, path, "scenario")?, &scenario_path)?;
             let aps = req_usize("aps")?;
+            if aps > MAX_FLOOR_APS {
+                return Err(DecodeError::new(
+                    &format!("{path}.aps"),
+                    format!(
+                        "a floor of {aps} APs exceeds the {MAX_FLOOR_APS}-AP limit \
+                         ({BYTES_PER_AP} B per AP against a {JOB_BUDGET_BYTES} B job budget)"
+                    ),
+                ));
+            }
             let scenario = Scenario::by_name(name, aps).ok_or_else(|| {
                 DecodeError::new(
                     &scenario_path,
@@ -1719,6 +1742,27 @@ mod tests {
         // Not JSON at all: the line/column surfaces.
         let err = JobSpec::from_json_str("{oops}").unwrap_err();
         assert!(matches!(err, SpecError::Json(_)), "{err}");
+    }
+
+    #[test]
+    fn oversize_floors_are_rejected_at_decode() {
+        let spec = |aps: usize| {
+            format!(
+                r#"{{"experiment": {{"kind": "enterprise_scaling",
+                    "scenario": "enterprise_office", "aps": {aps},
+                    "topologies": 1, "rounds": 1}}, "seed": 1}}"#
+            )
+        };
+        assert_eq!(MAX_FLOOR_APS, 27_094);
+        JobSpec::from_json_str(&spec(MAX_FLOOR_APS)).expect("largest floor decodes");
+        for aps in [MAX_FLOOR_APS + 1, 4_000_000_000] {
+            match JobSpec::from_json_str(&spec(aps)) {
+                Err(SpecError::Decode(err)) => {
+                    assert_eq!(err.path, "$.experiment.aps", "{err}")
+                }
+                other => panic!("{aps} APs: expected a decode error, got {other:?}"),
+            }
+        }
     }
 
     #[test]
