@@ -140,6 +140,39 @@ fn antenna_correlation_cholesky(antennas: &[Point]) -> Vec<Vec<f64>> {
     l_mat
 }
 
+/// An antenna set's fading-correlation Cholesky factor, which mixes a
+/// client's independent `CN(0, 1)` draws into spatially correlated fading.
+///
+/// It depends only on the antenna positions, so a caller that realises rows
+/// one at a time ([`ChannelModel::finish_row`]) computes it once per AP.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FadingCorrelation {
+    n: usize,
+    /// Row-major `n × n`; entries above the diagonal are zero.
+    l: Vec<f64>,
+}
+
+impl FadingCorrelation {
+    /// Factors the correlation matrix of `antennas`.
+    pub fn new(antennas: &[Point]) -> Self {
+        FadingCorrelation {
+            n: antennas.len(),
+            l: antenna_correlation_cholesky(antennas).concat(),
+        }
+    }
+
+    /// Entry `(k, l)` of the factor.
+    #[inline]
+    fn get(&self, k: usize, l: usize) -> f64 {
+        self.l[k * self.n + l]
+    }
+
+    /// Bytes of heap the factor holds.
+    pub fn heap_bytes(&self) -> usize {
+        self.l.capacity() * std::mem::size_of::<f64>()
+    }
+}
+
 /// Spatial grid size (metres) over which shadowing is fully correlated.
 ///
 /// Two transmit positions falling in the same grid cell see the *same*
@@ -202,13 +235,36 @@ impl ChannelModel {
         10f64.powf(-(pl_db + shadow_db) / 20.0)
     }
 
+    /// Small-scale fading distribution of a link of the given length.
+    fn fading_kind(&self, distance_m: f64) -> fading::FadingKind {
+        if distance_m <= self.env.los_distance_m {
+            self.env.los_fading
+        } else {
+            self.env.nlos_fading
+        }
+    }
+
+    /// Whether the link `apos → client` is Rician, i.e. draws a
+    /// line-of-sight phase: `fading_kind(apos.distance(client))`, without
+    /// the `hypot` where the answer cannot depend on it.  A link whose
+    /// offset on either axis exceeds the line-of-sight distance (with a
+    /// 1e-9 relative margin for the `hypot` rounding) is longer than it.
+    fn draws_phase(&self, apos: &Point, client: &Point) -> bool {
+        let rician = |kind| matches!(kind, fading::FadingKind::Rician { .. });
+        let (los, nlos) = (rician(self.env.los_fading), rician(self.env.nlos_fading));
+        if los == nlos {
+            return los;
+        }
+        let reach = self.env.los_distance_m * (1.0 + 1e-9);
+        if (apos.x - client.x).abs() > reach || (apos.y - client.y).abs() > reach {
+            return nlos;
+        }
+        rician(self.fading_kind(apos.distance(client)))
+    }
+
     /// Small-scale fading coefficient for a link of the given length.
     fn sample_fading(&mut self, distance_m: f64) -> Complex {
-        if distance_m <= self.env.los_distance_m {
-            self.env.los_fading.sample(&mut self.rng)
-        } else {
-            self.env.nlos_fading.sample(&mut self.rng)
-        }
+        self.fading_kind(distance_m).sample(&mut self.rng)
     }
 
     /// Deterministic mean received power (dBm) at `rx` from a transmitter at
@@ -266,51 +322,137 @@ impl ChannelModel {
     /// channel-conditioning difference the paper's "cell capacity" argument
     /// rests on — a CAS channel matrix is poorly conditioned for MU-MIMO even
     /// though its entries have similar magnitudes.
+    ///
+    /// Each row is [`take_row`](Self::take_row) from the model's sequential
+    /// generator followed by [`finish_row`](Self::finish_row).  A caller
+    /// that needs only some rows can take every row's raw draws in this
+    /// order (cheap), keep the generator state every few rows, and finish a
+    /// row later by replaying from the nearest kept state: it gets exactly
+    /// the row this method returns.  The network simulator realises its
+    /// channel rows that way, on first read.
     pub fn realize_positions(&mut self, antennas: &[Point], clients: &[Point]) -> ChannelMatrix {
-        let n_c = clients.len();
-        let n_a = antennas.len();
-        let chol = antenna_correlation_cholesky(antennas);
-        let mut h = CMat::zeros(n_c, n_a);
-        let mut large_scale = FMat::zeros(n_c, n_a);
+        let corr = FadingCorrelation::new(antennas);
+        let mut channel = self.blank_matrix(clients.len(), antennas.len());
+        let mut rng = self.rng.clone();
+        let mut raw = Vec::new();
         for (j, cpos) in clients.iter().enumerate() {
-            // Correlated scattered components across this client's antennas.
-            let z: Vec<Complex> = (0..n_a)
-                .map(|_| fading::sample_cn01(&mut self.rng))
-                .collect();
-            let scattered: Vec<Complex> = (0..n_a)
-                .map(|k| {
-                    (0..=k)
-                        .map(|l| z[l].scale(chol[k][l]))
-                        .fold(Complex::ZERO, |acc, x| acc + x)
-                })
-                .collect();
-            for (k, apos) in antennas.iter().enumerate() {
-                let d = apos.distance(cpos);
-                let g = self.large_scale_amp(apos, cpos);
-                let kind = if d <= self.env.los_distance_m {
-                    self.env.los_fading
-                } else {
-                    self.env.nlos_fading
-                };
-                let f = match kind {
-                    fading::FadingKind::None => Complex::ONE,
-                    fading::FadingKind::Rayleigh => scattered[k],
-                    fading::FadingKind::Rician { k_db } => {
-                        let k_lin = 10f64.powf(k_db / 10.0);
-                        let phase = self.rng.uniform_range(0.0, 2.0 * std::f64::consts::PI);
-                        Complex::from_polar((k_lin / (k_lin + 1.0)).sqrt(), phase)
-                            + scattered[k].scale((1.0 / (k_lin + 1.0)).sqrt())
-                    }
-                };
-                large_scale.set(j, k, g);
-                h.set(j, k, f.scale(g));
-            }
+            self.take_row(&mut rng, antennas, cpos, &mut raw);
+            self.finish_row(
+                &corr,
+                antennas,
+                cpos,
+                &raw,
+                channel.h.row_mut(j),
+                channel.large_scale.row_mut(j),
+            );
         }
+        self.rng = rng;
+        channel
+    }
+
+    /// An all-zero `clients × antennas` matrix carrying this model's
+    /// transmit and noise powers — storage for rows realised one by one.
+    pub fn blank_matrix(&self, clients: usize, antennas: usize) -> ChannelMatrix {
         ChannelMatrix {
-            h,
-            large_scale,
+            h: CMat::zeros(clients, antennas),
+            large_scale: FMat::zeros(clients, antennas),
             tx_power_mw: dbm_to_mw(self.env.tx_power_dbm),
             noise_mw: dbm_to_mw(self.env.noise_floor_dbm),
+        }
+    }
+
+    /// The model's sequential generator — the stream
+    /// [`realize_positions`](Self::realize_positions) takes its rows from.
+    /// A clone of it is a checkpoint a row can later be replayed from.
+    pub fn sequential_rng(&self) -> &SimRng {
+        &self.rng
+    }
+
+    /// Replaces the model's sequential generator, e.g. with a stream that
+    /// has taken rows on the model's behalf.
+    pub fn set_sequential_rng(&mut self, rng: SimRng) {
+        self.rng = rng;
+    }
+
+    /// The RNG half of realising one row: takes, from `rng`, the raw values
+    /// the row's fading consumes, in order, into `raw` (cleared first).
+    ///
+    /// Per antenna, one `CN(0, 1)` scattered component: two Box–Muller
+    /// draws, each a [`SimRng::nonzero_bits`] value and a plain one.  Then one
+    /// phase value per antenna whose link to `client` is Rician
+    /// (line-of-sight).  This is the only step that advances the generator,
+    /// and it costs a few nanoseconds per value.
+    pub fn take_row(
+        &self,
+        rng: &mut SimRng,
+        antennas: &[Point],
+        client: &Point,
+        raw: &mut Vec<u64>,
+    ) {
+        raw.clear();
+        for _ in 0..2 * antennas.len() {
+            raw.push(rng.nonzero_bits());
+            raw.push(rng.next_u64());
+        }
+        for apos in antennas {
+            if self.draws_phase(apos, client) {
+                raw.push(rng.next_u64());
+            }
+        }
+    }
+
+    /// The pure half of realising one row: turns the raw values
+    /// [`take_row`](Self::take_row) took for `client` into the row's
+    /// large-scale gains (`g_row`) and composite gains (`h_row`).
+    ///
+    /// Box–Muller, the antenna-correlation mix, path loss with the frozen
+    /// shadowing field and the Rician line-of-sight term.  Consumes no RNG
+    /// and allocates nothing.
+    pub fn finish_row(
+        &self,
+        corr: &FadingCorrelation,
+        antennas: &[Point],
+        client: &Point,
+        raw: &[u64],
+        h_row: &mut [Complex],
+        g_row: &mut [f64],
+    ) {
+        let n_a = antennas.len();
+        assert_eq!(corr.n, n_a, "correlation factor of another antenna set");
+        assert!(h_row.len() == n_a && g_row.len() == n_a);
+        let scale = std::f64::consts::FRAC_1_SQRT_2;
+        // Independent CN(0, 1) components, staged in `h_row`.
+        for (z, d) in h_row.iter_mut().zip(raw.chunks_exact(4)) {
+            *z = Complex::new(
+                SimRng::gaussian_from_bits(d[0], d[1]) * scale,
+                SimRng::gaussian_from_bits(d[2], d[3]) * scale,
+            );
+        }
+        // Correlated scattered components, mixed in place from the last
+        // antenna down: antenna k reads components 0..=k, which the
+        // antennas below it have not overwritten yet.
+        for k in (0..n_a).rev() {
+            h_row[k] = (0..=k)
+                .map(|l| h_row[l].scale(corr.get(k, l)))
+                .fold(Complex::ZERO, |acc, x| acc + x);
+        }
+        let mut phases = raw[4 * n_a..].iter();
+        for (k, apos) in antennas.iter().enumerate() {
+            let g = self.large_scale_amp(apos, client);
+            let f = match self.fading_kind(apos.distance(client)) {
+                fading::FadingKind::None => Complex::ONE,
+                fading::FadingKind::Rayleigh => h_row[k],
+                fading::FadingKind::Rician { k_db } => {
+                    let k_lin = 10f64.powf(k_db / 10.0);
+                    let bits = *phases.next().expect("a phase value per Rician link");
+                    let phase =
+                        SimRng::uniform_range_from_bits(0.0, 2.0 * std::f64::consts::PI, bits);
+                    Complex::from_polar((k_lin / (k_lin + 1.0)).sqrt(), phase)
+                        + h_row[k].scale((1.0 / (k_lin + 1.0)).sqrt())
+                }
+            };
+            g_row[k] = g;
+            h_row[k] = f.scale(g);
         }
     }
 
@@ -608,6 +750,166 @@ mod tests {
         model.refresh_large_scale_row(&mut ch, 1, antennas, &home);
         for k in 0..ch.num_antennas() {
             assert!((ch.large_scale.get(1, k) - before.large_scale.get(1, k)).abs() < 1e-15);
+        }
+    }
+
+    /// Random antenna sets (a tight CAS-like cluster or spread DAS-like
+    /// antennas) and clients, some within line-of-sight range of an antenna.
+    fn random_links(rng: &mut SimRng) -> (Vec<Point>, Vec<Point>) {
+        let n_a = 1 + rng.uniform_usize(6);
+        let spread = if rng.bernoulli(0.5) { 0.1 } else { 12.0 };
+        let antennas: Vec<Point> = (0..n_a)
+            .map(|_| {
+                Point::new(
+                    rng.uniform_range(0.0, spread),
+                    rng.uniform_range(0.0, spread),
+                )
+            })
+            .collect();
+        let clients = (0..1 + rng.uniform_usize(40))
+            .map(|_| {
+                let near = antennas[rng.uniform_usize(n_a)];
+                let reach = if rng.bernoulli(0.3) { 3.0 } else { 30.0 };
+                Point::new(
+                    near.x + rng.uniform_range(-reach, reach),
+                    near.y + rng.uniform_range(-reach, reach),
+                )
+            })
+            .collect();
+        (antennas, clients)
+    }
+
+    /// Row realisation drawn straight from the model's generator, sample by
+    /// sample, without the take/finish split: the reference the split is
+    /// checked against.
+    fn direct_realisation(
+        model: &mut ChannelModel,
+        antennas: &[Point],
+        clients: &[Point],
+    ) -> ChannelMatrix {
+        let corr = FadingCorrelation::new(antennas);
+        let mut out = model.blank_matrix(clients.len(), antennas.len());
+        for (j, cpos) in clients.iter().enumerate() {
+            let z: Vec<Complex> = antennas
+                .iter()
+                .map(|_| fading::sample_cn01(&mut model.rng))
+                .collect();
+            for (k, apos) in antennas.iter().enumerate() {
+                let scattered = (0..=k)
+                    .map(|l| z[l].scale(corr.get(k, l)))
+                    .fold(Complex::ZERO, |acc, x| acc + x);
+                let g = model.large_scale_amp(apos, cpos);
+                let f = match model.fading_kind(apos.distance(cpos)) {
+                    fading::FadingKind::None => Complex::ONE,
+                    fading::FadingKind::Rayleigh => scattered,
+                    fading::FadingKind::Rician { k_db } => {
+                        let k_lin = 10f64.powf(k_db / 10.0);
+                        let phase = model.rng.uniform_range(0.0, 2.0 * std::f64::consts::PI);
+                        Complex::from_polar((k_lin / (k_lin + 1.0)).sqrt(), phase)
+                            + scattered.scale((1.0 / (k_lin + 1.0)).sqrt())
+                    }
+                };
+                out.large_scale.set(j, k, g);
+                out.h.set(j, k, f.scale(g));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn realize_positions_equals_the_direct_draws_bit_for_bit() {
+        let mut rng = SimRng::new(0xD12E);
+        for trial in 0..40 {
+            let env = Environment::office_a();
+            let (antennas, clients) = random_links(&mut rng);
+            let mut split = ChannelModel::new(env, trial);
+            let mut direct = ChannelModel::new(env, trial);
+            let a = split.realize_positions(&antennas, &clients);
+            let b = direct_realisation(&mut direct, &antennas, &clients);
+            let bits = |m: &ChannelMatrix| -> Vec<u64> {
+                m.h.data()
+                    .iter()
+                    .flat_map(|c| [c.re.to_bits(), c.im.to_bits()])
+                    .chain(m.large_scale.data().iter().map(|g| g.to_bits()))
+                    .collect()
+            };
+            assert_eq!(bits(&a), bits(&b), "trial {trial}");
+            assert_eq!(split.rng.next_u64(), direct.rng.next_u64(), "trial {trial}");
+        }
+    }
+
+    #[test]
+    fn rows_finished_from_checkpoints_in_any_order_equal_realize_positions() {
+        const EVERY: usize = 4;
+        let mut rng = SimRng::new(0x7A4E);
+        let mut los_rows = 0;
+        for trial in 0..60 {
+            let env = Environment::office_a();
+            let (antennas, clients) = random_links(&mut rng);
+            let eager = ChannelModel::new(env, trial).realize_positions(&antennas, &clients);
+
+            // Take every row's raw draws, keeping the generator every
+            // `EVERY` rows.
+            let lazy = ChannelModel::new(env, trial);
+            let mut stream = lazy.sequential_rng().clone();
+            let mut checkpoints = Vec::new();
+            let mut raw = Vec::new();
+            for (j, c) in clients.iter().enumerate() {
+                if j % EVERY == 0 {
+                    checkpoints.push(stream.clone());
+                }
+                lazy.take_row(&mut stream, &antennas, c, &mut raw);
+                los_rows += usize::from(raw.len() > 4 * antennas.len());
+            }
+
+            // Finish a random subset in a random order, each row replayed
+            // from its own checkpoint.
+            let corr = FadingCorrelation::new(&antennas);
+            let mut order: Vec<usize> = (0..clients.len()).collect();
+            rng.shuffle(&mut order);
+            order.truncate(1 + rng.uniform_usize(clients.len()));
+            let mut h_row = vec![Complex::ZERO; antennas.len()];
+            let mut g_row = vec![0.0; antennas.len()];
+            for &j in &order {
+                let mut replay = checkpoints[j / EVERY].clone();
+                for c in &clients[j - j % EVERY..j] {
+                    lazy.take_row(&mut replay, &antennas, c, &mut raw);
+                }
+                lazy.take_row(&mut replay, &antennas, &clients[j], &mut raw);
+                lazy.finish_row(&corr, &antennas, &clients[j], &raw, &mut h_row, &mut g_row);
+                for k in 0..antennas.len() {
+                    let (h, e) = (h_row[k], eager.h.get(j, k));
+                    assert_eq!(
+                        (h.re.to_bits(), h.im.to_bits()),
+                        (e.re.to_bits(), e.im.to_bits()),
+                        "trial {trial}, row {j}, antenna {k}"
+                    );
+                    assert_eq!(g_row[k].to_bits(), eager.large_scale.get(j, k).to_bits());
+                }
+            }
+        }
+        assert!(los_rows > 0, "no line-of-sight row was exercised");
+    }
+
+    #[test]
+    fn stepping_rows_leaves_the_generator_where_realize_positions_does() {
+        let mut rng = SimRng::new(0x57E9);
+        for trial in 0..40 {
+            let env = Environment::office_a();
+            let (antennas, clients) = random_links(&mut rng);
+            let mut eager = ChannelModel::new(env, trial);
+            eager.realize_positions(&antennas, &clients);
+
+            let lazy = ChannelModel::new(env, trial);
+            let mut stream = lazy.sequential_rng().clone();
+            let mut raw = Vec::new();
+            for c in &clients {
+                lazy.take_row(&mut stream, &antennas, c, &mut raw);
+            }
+            let mut after = eager.sequential_rng().clone();
+            for _ in 0..4 {
+                assert_eq!(stream.next_u64(), after.next_u64(), "trial {trial}");
+            }
         }
     }
 

@@ -102,13 +102,47 @@ impl SimRng {
 
     /// Uniform sample in `[0, 1)`.
     pub fn uniform(&mut self) -> f64 {
-        // 53 random mantissa bits.
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+        unit_from_bits(self.next_u64())
     }
 
     /// Uniform sample in `[lo, hi)`.
     pub fn uniform_range(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + (hi - lo) * self.uniform()
+        Self::uniform_range_from_bits(lo, hi, self.next_u64())
+    }
+
+    /// The [`uniform_range`](Self::uniform_range) sample for the raw value
+    /// `bits`.
+    ///
+    /// This and [`gaussian_from_bits`](Self::gaussian_from_bits) split a
+    /// draw into its RNG-consuming half (taking raw values) and its pure
+    /// half (converting them), so a caller can take the raw values now and
+    /// convert them later to exactly the sample the one-step call gives.
+    #[inline]
+    pub fn uniform_range_from_bits(lo: f64, hi: f64, bits: u64) -> f64 {
+        lo + (hi - lo) * unit_from_bits(bits)
+    }
+
+    /// The [`gaussian`](Self::gaussian) sample for the raw values `u_bits`
+    /// (from [`nonzero_bits`](Self::nonzero_bits)) and `v_bits` (the raw
+    /// value drawn right after it).
+    #[inline]
+    pub fn gaussian_from_bits(u_bits: u64, v_bits: u64) -> f64 {
+        let u = unit_from_bits(u_bits);
+        let v = unit_from_bits(v_bits);
+        (-2.0 * u.ln()).sqrt() * (2.0 * std::f64::consts::PI * v).cos()
+    }
+
+    /// Next raw value whose uniform is non-zero: the raw-bit form of
+    /// [`nonzero_uniform`](Self::nonzero_uniform)'s rejection.  A raw value
+    /// `x` maps to `u = (x >> 11) / 2^53`, so `u > 1e-300` holds exactly when
+    /// `x >> 11 != 0` (the smallest non-zero `u` is `2^-53`).
+    pub fn nonzero_bits(&mut self) -> u64 {
+        loop {
+            let x = self.next_u64();
+            if x >> 11 != 0 {
+                break x;
+            }
+        }
     }
 
     /// Uniform integer in `[0, n)`.
@@ -127,19 +161,14 @@ impl SimRng {
     /// finite — the shared rejection step of [`gaussian`](Self::gaussian)
     /// and [`exponential`](Self::exponential).
     pub fn nonzero_uniform(&mut self) -> f64 {
-        loop {
-            let u = self.uniform();
-            if u > 1e-300 {
-                break u;
-            }
-        }
+        unit_from_bits(self.nonzero_bits())
     }
 
     /// Standard normal sample via the Box–Muller transform.
     pub fn gaussian(&mut self) -> f64 {
-        let u = self.nonzero_uniform();
-        let v = self.uniform();
-        (-2.0 * u.ln()).sqrt() * (2.0 * std::f64::consts::PI * v).cos()
+        let u_bits = self.nonzero_bits();
+        let v_bits = self.next_u64();
+        Self::gaussian_from_bits(u_bits, v_bits)
     }
 
     /// Two independent standard normal samples from **one** Box–Muller
@@ -445,6 +474,40 @@ mod tests {
             let u = rng.nonzero_uniform();
             assert!(u > 0.0 && u < 1.0);
         }
+    }
+
+    #[test]
+    fn raw_bit_rejection_agrees_with_the_uniform_threshold_at_the_boundary() {
+        // `x >> 11` of 0 maps to u = 0 (rejected); of 1 to u = 2^-53, the
+        // smallest non-zero uniform (accepted).  Low bits never matter.
+        for (high, accepted) in [(0u64, false), (1, true)] {
+            for low in [0u64, 1, 0x7FF] {
+                let x = (high << 11) | low;
+                let u = unit_from_bits(x);
+                assert_eq!(u > 1e-300, accepted, "x = {x:#x}, u = {u:e}");
+                assert_eq!(x >> 11 != 0, accepted, "x = {x:#x}");
+            }
+        }
+        assert_eq!(unit_from_bits(1 << 11), 2f64.powi(-53));
+    }
+
+    #[test]
+    fn split_draws_reproduce_the_one_step_samples() {
+        let mut whole = SimRng::new(37);
+        let mut split = SimRng::new(37);
+        for _ in 0..1_000 {
+            let g = whole.gaussian();
+            let (u_bits, v_bits) = (split.nonzero_bits(), split.next_u64());
+            assert_eq!(
+                g.to_bits(),
+                SimRng::gaussian_from_bits(u_bits, v_bits).to_bits()
+            );
+            let phase = whole.uniform_range(0.0, 2.0 * std::f64::consts::PI);
+            let bits = split.next_u64();
+            let replayed = SimRng::uniform_range_from_bits(0.0, 2.0 * std::f64::consts::PI, bits);
+            assert_eq!(phase.to_bits(), replayed.to_bits());
+        }
+        assert_eq!(whole.next_u64(), split.next_u64());
     }
 
     #[test]

@@ -161,7 +161,9 @@ impl ContentionGraph {
     /// [`ContentionGraph::aps_share_domain_within`] over all pairs: the
     /// index returns a superset of the antennas within `cutoff_m`, and the
     /// same `distance <= cutoff && can_sense` predicate decides membership
-    /// (see the property test in `tests/proptest_scale.rs`).
+    /// (see the property test in `tests/proptest_scale.rs`).  Both the
+    /// predicate and the distance test are symmetric, so each unordered
+    /// antenna pair is evaluated once, from its lower-numbered end.
     pub fn ap_adjacency_indexed(&self, topo: &Topology, cutoff_m: f64) -> Vec<Vec<bool>> {
         let n = topo.aps.len();
         let mut owner: Vec<usize> = Vec::new();
@@ -173,10 +175,14 @@ impl ContentionGraph {
             }
         }
         let mut adj = vec![vec![false; n]; n];
-        let points = index.points().to_vec();
+        let points = index.points();
+        let mut neighbors = Vec::new();
         for (i, ta) in points.iter().enumerate() {
             let a = owner[i];
-            for j in index.neighbors_within(ta, cutoff_m) {
+            index.neighbors_within_into(ta, cutoff_m, &mut neighbors);
+            // Ids come back ascending: skip the pairs already seen from j.
+            let later = neighbors.partition_point(|&j| j <= i);
+            for &j in &neighbors[later..] {
                 let b = owner[j];
                 if a == b || adj[a][b] {
                     continue;

@@ -21,7 +21,7 @@ use crate::scale::index::SpatialIndex;
 use crate::traffic::{FullBuffer, TrafficKind, TrafficModel};
 use midas_channel::geometry::Point;
 use midas_channel::topology::Topology;
-use midas_channel::{ChannelMatrix, ChannelModel, Environment, SimRng};
+use midas_channel::{ChannelMatrix, ChannelModel, Environment, FadingCorrelation, SimRng};
 use midas_linalg::{CMat, Complex};
 use midas_mac::client_select::{select_clients_cas, select_clients_midas};
 use midas_mac::drr::DrrScheduler;
@@ -418,6 +418,8 @@ struct RoundWorkspace {
     touched: Vec<(u32, u32)>,
     /// Gaussian-pair scratch of the serial counter evolve path.
     pairs: Vec<(f64, f64)>,
+    /// Raw-draw scratch of lazy row realisation ([`ApChannel::realise`]).
+    draws: Vec<u64>,
     /// Evolved-row staging of the parallel counter evolve path: each job
     /// writes its row into a disjoint segment, copied back serially.
     evolve_scratch: Vec<Complex>,
@@ -493,10 +495,20 @@ impl RoundWorkspace {
             + self.stream_bounds.capacity() * size_of::<usize>()
             + self.touched.capacity() * size_of::<(u32, u32)>()
             + self.pairs.capacity() * size_of::<(f64, f64)>()
+            + self.draws.capacity() * size_of::<u64>()
             + self.evolve_scratch.capacity() * size_of::<Complex>()
             + self.job_offsets.capacity() * size_of::<usize>()
     }
 }
+
+/// Rows between two kept states of the model's sequential generator.  A row
+/// realised on first read is replayed from the nearest kept state at or
+/// below it, re-taking the raw draws of at most this many − 1 rows before it
+/// (≈ 55 ns each); one kept state (32 B) costs 2 B per row.
+const ROWS_PER_CHECKPOINT: usize = 16;
+
+/// `next_boundary` of a row whose fading has not been drawn yet.
+const UNREALISED: u64 = u64::MAX;
 
 /// One AP's channel state, restricted to the clients in radio range.
 ///
@@ -508,6 +520,14 @@ impl RoundWorkspace {
 /// scale.  Row `r` of `ch` belongs to global client `clients[r]`; a client's
 /// row is looked up in that ascending list, so the index costs 4 bytes per
 /// row and nothing per out-of-range client.
+///
+/// A row's fading is drawn only when something first reads it, through
+/// [`realise`](Self::realise).  Construction takes every row's raw draws
+/// from the model's sequential generator in the eager order and keeps the
+/// generator state every [`ROWS_PER_CHECKPOINT`] rows, so a row realised
+/// late — at its client's setup position — holds exactly the bits eager
+/// realisation gave it, and the lazy large-scale refresh and keyed
+/// catch-up then proceed as if it had been realised at construction.
 struct ApChannel {
     ch: ChannelMatrix,
     /// Row → global client id, strictly ascending: every client within the
@@ -517,8 +537,8 @@ struct ApChannel {
     /// Per-row next evolution boundary (round number).  A row whose entry
     /// is `b` has absorbed every keyed innovation for boundaries `< b`; lazy
     /// catch-up replays boundaries `b, b+interval, …` up to the current
-    /// round before the row is read.  Starts at 0 (the initial realisation
-    /// has seen no evolution).
+    /// round before the row is read.  0 once the row is realised (the
+    /// initial realisation has seen no evolution); [`UNREALISED`] before.
     next_boundary: Vec<u64>,
     /// Per-row position version of the large-scale gains: a row whose entry
     /// differs from its client's current version (see
@@ -526,6 +546,11 @@ struct ApChannel {
     /// position and is refreshed just before it is read.  Empty when
     /// dynamics are off (positions never change).
     g_version: Vec<u64>,
+    /// Sequential-generator state before rows `0, K, 2K, …`
+    /// (`K` = [`ROWS_PER_CHECKPOINT`]).
+    checkpoints: Vec<SimRng>,
+    /// The AP's antenna fading correlation, shared by all its rows.
+    corr: FadingCorrelation,
 }
 
 impl ApChannel {
@@ -555,11 +580,77 @@ impl ApChannel {
             clients,
             next_boundary,
             g_version,
+            checkpoints,
+            corr,
         } = self;
         size_of_val(ch.h.data())
             + size_of_val(ch.large_scale.data())
             + clients.capacity() * size_of::<u32>()
             + (next_boundary.capacity() + g_version.capacity()) * size_of::<u64>()
+            + checkpoints.capacity() * size_of::<SimRng>()
+            + corr.heap_bytes()
+    }
+
+    /// Draws the fading of each listed client's row that has none yet — the
+    /// one place a row is realised — and returns how many it drew.
+    ///
+    /// A row is replayed from the nearest checkpoint at or below it and
+    /// finished at its client's setup position (`setup`, by global id).  The
+    /// replay stream carries over from one listed row to the next, so
+    /// clients listed in ascending order (as every caller does) step each
+    /// row of a checkpoint block at most once.
+    fn realise(
+        &mut self,
+        model: &ChannelModel,
+        antennas: &[Point],
+        setup: &[Point],
+        clients: impl IntoIterator<Item = usize>,
+        raw: &mut Vec<u64>,
+    ) -> usize {
+        // The replay stream and the row it will take next.
+        let mut cursor: Option<(SimRng, usize)> = None;
+        let mut drawn = 0;
+        for client in clients {
+            let row = self.row(client);
+            if self.next_boundary[row] != UNREALISED {
+                continue;
+            }
+            let block = row - row % ROWS_PER_CHECKPOINT;
+            let (stream, next) = match &mut cursor {
+                Some((stream, next)) if (block..=row).contains(next) => (stream, next),
+                stale => {
+                    let checkpoint = self.checkpoints[row / ROWS_PER_CHECKPOINT].clone();
+                    let (stream, next) = stale.insert((checkpoint, block));
+                    (stream, next)
+                }
+            };
+            for &skipped in &self.clients[*next..row] {
+                model.take_row(stream, antennas, &setup[skipped as usize], raw);
+            }
+            model.take_row(stream, antennas, &setup[client], raw);
+            *next = row + 1;
+            model.finish_row(
+                &self.corr,
+                antennas,
+                &setup[client],
+                raw,
+                self.ch.h.row_mut(row),
+                self.ch.large_scale.row_mut(row),
+            );
+            self.next_boundary[row] = 0;
+            drawn += 1;
+        }
+        drawn
+    }
+
+    /// Client `client`'s composite gains towards every antenna of this AP.
+    fn h_row(&self, client: usize) -> &[Complex] {
+        let row = self.row(client);
+        debug_assert_ne!(
+            self.next_boundary[row], UNREALISED,
+            "read of an unrealised row"
+        );
+        self.ch.h.row(row)
     }
 
     /// Brings `client`'s large-scale gains to position version `version`
@@ -574,6 +665,10 @@ impl ApChannel {
         version: u64,
     ) -> bool {
         let row = self.row(client);
+        debug_assert_ne!(
+            self.next_boundary[row], UNREALISED,
+            "refresh of an unrealised row"
+        );
         if self.g_version[row] == version {
             return false;
         }
@@ -584,12 +679,18 @@ impl ApChannel {
 
     /// Mean RSSI (dBm) of a global client from AP-local antenna `k`.
     fn mean_rssi_dbm(&self, client: usize, antenna: usize) -> f64 {
-        self.ch.mean_rssi_dbm(self.row(client), antenna)
+        let row = self.row(client);
+        debug_assert_ne!(
+            self.next_boundary[row], UNREALISED,
+            "read of an unrealised row"
+        );
+        self.ch.mean_rssi_dbm(row, antenna)
     }
 
     /// Sub-channel over global clients × AP-local antennas.
     fn select(&self, clients: &[usize], antennas: &[usize]) -> ChannelMatrix {
         let rows: Vec<usize> = clients.iter().map(|&c| self.row(c)).collect();
+        debug_assert!(rows.iter().all(|&r| self.next_boundary[r] != UNREALISED));
         self.ch.select(&rows, antennas)
     }
 }
@@ -631,6 +732,11 @@ pub struct NetworkSimulator {
     dynamics: Option<DynamicsState>,
     /// Large-scale row refreshes performed so far (work counter).
     large_scale_refreshes: usize,
+    /// Every client's position at construction: rows are realised there,
+    /// whenever they are first read.
+    setup_positions: Vec<Point>,
+    /// Rows whose fading has been drawn so far (work counter).
+    rows_drawn: usize,
 }
 
 impl NetworkSimulator {
@@ -655,16 +761,19 @@ impl NetworkSimulator {
         // and roaming would otherwise need sparse row insertion as clients
         // wander into range of new APs mid-run.
         let dense_rows = config.dynamics.is_some();
+        let setup_positions: Vec<Point> = topo.clients.iter().map(|c| c.position).collect();
         let client_index = (cutoff.is_finite() && !dense_rows).then(|| {
-            SpatialIndex::from_points(
-                topo.region,
-                config.index_cell_m(),
-                &topo.clients.iter().map(|c| c.position).collect::<Vec<_>>(),
-            )
+            SpatialIndex::from_points(topo.region, config.index_cell_m(), &setup_positions)
         });
+        // Every row's raw draws are taken from this stream in the eager
+        // order (AP by AP, row by row) — cheap — and the stream is kept
+        // every `ROWS_PER_CHECKPOINT` rows; the fading itself is drawn
+        // only when a row is first read (`ApChannel::realise`).
+        let mut stream = model.sequential_rng().clone();
+        let mut raw = Vec::new();
         let mut visible = Vec::new();
         let mut neighbors = Vec::new();
-        let channels: Vec<ApChannel> = topo
+        let mut channels: Vec<ApChannel> = topo
             .aps
             .iter()
             .map(|ap| {
@@ -684,32 +793,48 @@ impl NetworkSimulator {
                 } else {
                     visible.extend(0..num_clients);
                 }
-                let positions: Vec<Point> =
-                    visible.iter().map(|&c| topo.clients[c].position).collect();
-                let ch = model.realize_positions(&ap.antennas, &positions);
+                let mut checkpoints =
+                    Vec::with_capacity(visible.len().div_ceil(ROWS_PER_CHECKPOINT));
+                for (row, &c) in visible.iter().enumerate() {
+                    if row % ROWS_PER_CHECKPOINT == 0 {
+                        checkpoints.push(stream.clone());
+                    }
+                    model.take_row(&mut stream, &ap.antennas, &setup_positions[c], &mut raw);
+                }
                 let clients: Vec<u32> = visible
                     .iter()
                     .map(|&c| u32::try_from(c).expect("client ids fit in u32"))
                     .collect();
-                let next_boundary = vec![0; clients.len()];
+                let next_boundary = vec![UNREALISED; clients.len()];
                 let g_version = if dense_rows {
                     vec![0; clients.len()]
                 } else {
                     Vec::new()
                 };
                 ApChannel {
-                    ch,
+                    ch: model.blank_matrix(clients.len(), ap.num_antennas()),
                     clients,
                     next_boundary,
                     g_version,
+                    checkpoints,
+                    corr: FadingCorrelation::new(&ap.antennas),
                 }
             })
             .collect();
+        model.set_sequential_rng(stream);
 
         let mut drr = Vec::new();
         let mut tags = Vec::new();
+        let mut rows_drawn = 0;
         for ap in &topo.aps {
             let own_clients = &workspace.own_clients[ap.ap_id];
+            rows_drawn += channels[ap.ap_id].realise(
+                &model,
+                &ap.antennas,
+                &setup_positions,
+                own_clients.iter().copied(),
+                &mut raw,
+            );
             drr.push(DrrScheduler::new(own_clients.len()));
             // Tagging is driven by mean RSSI of each own client from each antenna.
             let rssi: Vec<Vec<f64>> = own_clients
@@ -743,6 +868,8 @@ impl NetworkSimulator {
             profile_stages: false,
             dynamics,
             large_scale_refreshes: 0,
+            setup_positions,
+            rows_drawn,
         }
     }
 
@@ -984,6 +1111,13 @@ impl NetworkSimulator {
             if membership || ws.dirty_tags[ap_id] {
                 let antennas = &self.topo.aps[ap_id].antennas;
                 let apch = &mut self.channels[ap_id];
+                self.rows_drawn += apch.realise(
+                    &self.model,
+                    antennas,
+                    &self.setup_positions,
+                    ws.own_clients[ap_id].iter().copied(),
+                    &mut ws.draws,
+                );
                 ws.rssi.clear();
                 for &c in &ws.own_clients[ap_id] {
                     let position = &self.topo.clients[c].position;
@@ -1014,14 +1148,22 @@ impl NetworkSimulator {
         self.large_scale_refreshes
     }
 
-    /// Channel rows realised — the channel layer's work counter: summed over
-    /// APs, the clients within the interaction range of any of the AP's
-    /// antennas plus the AP's own clients (every client at every AP when the
-    /// range is infinite or dynamics are on).  Rows are realised once, at
-    /// construction, so this is also the row count per-AP channel memory is
-    /// proportional to.
+    /// Channel rows held — the row count per-AP channel memory is
+    /// proportional to: summed over APs, the clients within the
+    /// interaction range of any of the AP's antennas plus the AP's own
+    /// clients (every client at every AP when the range is infinite or
+    /// dynamics are on).  A held row's fading is drawn only when it is first
+    /// read; [`rows_drawn`](Self::rows_drawn) counts those.
     pub fn rows_realised(&self) -> usize {
         self.channels.iter().map(|apch| apch.clients.len()).sum()
+    }
+
+    /// Channel rows whose fading has been drawn so far — the lazy
+    /// realisation's work counter.  Own rows are drawn at construction (tags
+    /// read their gains); any other row the first time a round reads it.
+    /// Never more than [`rows_realised`](Self::rows_realised).
+    pub fn rows_drawn(&self) -> usize {
+        self.rows_drawn
     }
 
     /// Bytes of heap the dynamics layer retains (0 when dynamics are off);
@@ -1277,6 +1419,7 @@ impl NetworkSimulator {
             stream_bounds,
             touched,
             pairs,
+            draws,
             evolve_scratch,
             job_offsets,
             ..
@@ -1320,9 +1463,21 @@ impl NetworkSimulator {
         touched.sort_unstable();
         touched.dedup();
 
-        // Rows read this round must carry the large-scale gains of their
-        // client's current position before the catch-up below reads them
-        // (serially, so the parallel phase A stays read-only).
+        // Rows read this round must have been drawn, and carry the
+        // large-scale gains of their client's current position, before the
+        // catch-up below reads them (serially, so the parallel phase A
+        // stays read-only).  `touched` is sorted, so each AP's rows come in
+        // one ascending run.
+        for run in touched.chunk_by(|a, b| a.0 == b.0) {
+            let ap = run[0].0 as usize;
+            self.rows_drawn += self.channels[ap].realise(
+                &self.model,
+                &self.topo.aps[ap].antennas,
+                &self.setup_positions,
+                run.iter().map(|&(_, client)| client as usize),
+                draws,
+            );
+        }
         if let Some(state) = &self.dynamics {
             let versions = state.position_versions();
             for &(ap, client) in touched.iter() {
@@ -1486,7 +1641,7 @@ impl NetworkSimulator {
                 // The client's channel row towards every antenna of the
                 // serving AP, hoisted once per stream instead of one
                 // row-lookup per (antenna, stream) pair.
-                let h_row = ch.ch.h.row(ch.row(client));
+                let h_row = ch.h_row(client);
                 // Desired + intra-AP interference from this transmission.
                 // Intra-AP leakage is tracked separately from cross-AP
                 // interference: the serving AP's precoder knows about the
@@ -1521,7 +1676,7 @@ impl NetworkSimulator {
                     }
                     let other = &transmissions[o];
                     let och = &self.channels[other.ap_id];
-                    let oh_row = och.ch.h.row(och.row(client));
+                    let oh_row = och.h_row(client);
                     for other_stream in 0..other.clients.len() {
                         let mut amp = Complex::ZERO;
                         for (row, &k) in other.antenna_idx.iter().enumerate() {
@@ -1719,21 +1874,109 @@ mod tests {
     }
 
     #[test]
+    fn rows_drawn_counts_own_rows_then_exactly_the_rows_rounds_read() {
+        // Rows a run of `rounds` rounds reads, by brute force: the runs of
+        // 1..=rounds rounds replay the same first rounds, so the union of
+        // their last rounds' read sets is every row read.
+        let read_rows = |rounds: usize| {
+            let mut read = std::collections::BTreeSet::new();
+            for r in 1..=rounds {
+                let mut sim = finite_range_sim(8);
+                sim.config.rounds = r;
+                sim.run();
+                read.extend(sim.workspace.touched.iter().copied());
+            }
+            read
+        };
+        let sim = finite_range_sim(8);
+        let own: std::collections::BTreeSet<(u32, u32)> = sim
+            .topo
+            .clients
+            .iter()
+            .map(|c| (c.ap_id as u32, c.id as u32))
+            .collect();
+        assert_eq!(sim.rows_drawn(), own.len());
+        assert_eq!(sim.rows_drawn(), 96);
+
+        let mut sim = finite_range_sim(8);
+        sim.config.rounds = 5;
+        sim.run();
+        // Exactly the own rows plus the rows read: nothing is drawn twice
+        // or drawn unread.
+        let brute_force = own.union(&read_rows(5)).count();
+        assert_eq!(sim.rows_drawn(), brute_force);
+        assert_eq!(sim.rows_drawn(), 130);
+        assert!(sim.rows_drawn() < sim.rows_realised());
+    }
+
+    #[test]
+    fn rows_drawn_late_in_any_order_equal_eager_realisation() {
+        let mut sim = finite_range_sim(8);
+        let mut raw = Vec::new();
+        for (ap, apch) in sim.channels.iter_mut().enumerate() {
+            let antennas = &sim.topo.aps[ap].antennas;
+            let clients: Vec<usize> = apch.clients.iter().map(|&c| c as usize).collect();
+            // Own rows were drawn at construction; draw every third row
+            // from the top down (each one a fresh replay), then the rest.
+            let rest = clients.iter().rev().step_by(3).chain(&clients);
+            sim.rows_drawn += apch.realise(
+                &sim.model,
+                antennas,
+                &sim.setup_positions,
+                rest.copied(),
+                &mut raw,
+            );
+        }
+        assert_eq!(sim.rows_drawn(), sim.rows_realised());
+
+        // Eager: every AP's rows realised in turn from one fresh model.
+        let mut eager = ChannelModel::new(sim.config.env, sim.config.seed);
+        for (ap, apch) in sim.channels.iter().enumerate() {
+            let positions: Vec<Point> = apch
+                .clients
+                .iter()
+                .map(|&c| sim.topo.clients[c as usize].position)
+                .collect();
+            let reference = eager.realize_positions(&sim.topo.aps[ap].antennas, &positions);
+            let bits = |ch: &ChannelMatrix| -> Vec<u64> {
+                ch.h.data()
+                    .iter()
+                    .flat_map(|c| [c.re.to_bits(), c.im.to_bits()])
+                    .chain(ch.large_scale.data().iter().map(|g| g.to_bits()))
+                    .collect()
+            };
+            assert_eq!(bits(&apch.ch), bits(&reference), "AP {ap}");
+        }
+        // And construction left the model's generator where eager
+        // realisation leaves it.
+        assert_eq!(
+            sim.model.sequential_rng().clone().next_u64(),
+            eager.sequential_rng().clone().next_u64()
+        );
+    }
+
+    #[test]
     fn channel_heap_is_proportional_to_rows_not_floor_clients() {
         use std::mem::size_of;
         // One row: an antenna-wide `h` and `large_scale` row, the row's
-        // client id and its evolution bookmark.
+        // client id and its evolution bookmark.  Per checkpoint block of
+        // rows, one generator state; per AP, its antenna correlation factor.
         let per_row = |antennas: usize| {
             antennas * (size_of::<Complex>() + size_of::<f64>())
                 + size_of::<u32>()
                 + size_of::<u64>()
+        };
+        let footprint = |rows: usize, antennas: usize| {
+            rows * per_row(antennas)
+                + rows.div_ceil(ROWS_PER_CHECKPOINT) * size_of::<SimRng>()
+                + antennas * antennas * size_of::<f64>()
         };
         for clients_per_ap in [4, 32] {
             let sim = finite_range_sim(clients_per_ap);
             for (apch, ap) in sim.channels.iter().zip(&sim.topo.aps) {
                 assert_eq!(
                     apch.heap_footprint_bytes(),
-                    apch.clients.len() * per_row(ap.num_antennas()),
+                    footprint(apch.clients.len(), ap.num_antennas()),
                     "AP {} on a {}-client floor",
                     ap.ap_id,
                     sim.topo.clients.len()

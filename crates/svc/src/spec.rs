@@ -393,6 +393,18 @@ impl JobSpec {
                     "not a library scenario",
                 ));
             }
+            let aps = scenario.num_aps();
+            if self.dynamics.is_some() && aps > MAX_DYNAMIC_FLOOR_APS {
+                return Err(DecodeError::new(
+                    "$.experiment.aps",
+                    format!(
+                        "with dynamics, a floor of {aps} APs exceeds the \
+                         {MAX_DYNAMIC_FLOOR_APS}-AP limit (every client keeps a \
+                         {DENSE_ROW_BYTES} B channel row at every AP, against a \
+                         {JOB_BUDGET_BYTES} B job budget)"
+                    ),
+                ));
+            }
         }
         Ok(())
     }
@@ -1145,6 +1157,34 @@ const JOB_BUDGET_BYTES: usize = 1 << 30;
 /// refused at decode, before anything is allocated for them.
 const MAX_FLOOR_APS: usize = JOB_BUDGET_BYTES / BYTES_PER_AP;
 
+/// Clients per AP on every library scenario floor.
+const CLIENTS_PER_AP: usize = 8;
+
+/// Bytes of one channel row when dynamics make rows dense, at the
+/// scenarios' 4 antennas: a 64 B composite-gain row, a 32 B large-scale row,
+/// a 4 B client id, an 8 B evolution bookmark, an 8 B position version, and
+/// 2 B of fading checkpoint (32 B per 16 rows).
+const DENSE_ROW_BYTES: usize = 118;
+
+/// Resident bytes of an `aps`-AP floor with dynamics: every one of the
+/// `8·aps` clients has a row at every AP, so `8·aps²` dense rows, on top of
+/// the static floor's bytes per AP.
+const fn dynamic_floor_bytes(aps: usize) -> usize {
+    CLIENTS_PER_AP * aps * aps * DENSE_ROW_BYTES + aps * BYTES_PER_AP
+}
+
+/// Largest floor an `enterprise_scaling` spec with dynamics may ask for:
+/// the largest `aps` with `8·aps²·118 B + 39,629 B·aps ≤ 2^30 B`, i.e.
+/// 1,045 APs (1,072,283,905 B; 1,046 APs would need 1,074,297,438 B).  The
+/// rows are quadratic in APs, so this is far below the static cap.
+const MAX_DYNAMIC_FLOOR_APS: usize = {
+    let mut aps = 0;
+    while dynamic_floor_bytes(aps + 1) <= JOB_BUDGET_BYTES {
+        aps += 1;
+    }
+    aps
+};
+
 /// Decodes `{"kind": ..., ...}` back into an [`ExperimentSpec`].
 pub fn experiment_from_json(v: &Json, path: &str) -> Result<ExperimentSpec, DecodeError> {
     let kind_path = format!("{path}.kind");
@@ -1756,6 +1796,36 @@ mod tests {
         assert_eq!(MAX_FLOOR_APS, 27_094);
         JobSpec::from_json_str(&spec(MAX_FLOOR_APS)).expect("largest floor decodes");
         for aps in [MAX_FLOOR_APS + 1, 4_000_000_000] {
+            match JobSpec::from_json_str(&spec(aps)) {
+                Err(SpecError::Decode(err)) => {
+                    assert_eq!(err.path, "$.experiment.aps", "{err}")
+                }
+                other => panic!("{aps} APs: expected a decode error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn oversize_dynamics_floors_are_rejected_at_decode() {
+        // Decode only: the largest accepted floor is never run here.
+        let spec = |aps: usize| {
+            format!(
+                r#"{{"experiment": {{"kind": "enterprise_scaling",
+                    "scenario": "enterprise_office", "aps": {aps},
+                    "topologies": 1, "rounds": 1}}, "seed": 1,
+                    "dynamics": {}}}"#,
+                dynamics_to_json(&DynamicsSpec::roaming_walk(1.4)).write_compact()
+            )
+        };
+        for scenario in Scenario::all(64) {
+            assert_eq!(scenario.grid.clients_per_ap, CLIENTS_PER_AP);
+        }
+        assert_eq!(MAX_DYNAMIC_FLOOR_APS, 1_045);
+        assert!(dynamic_floor_bytes(MAX_DYNAMIC_FLOOR_APS) <= JOB_BUDGET_BYTES);
+        assert!(dynamic_floor_bytes(MAX_DYNAMIC_FLOOR_APS + 1) > JOB_BUDGET_BYTES);
+        JobSpec::from_json_str(&spec(MAX_DYNAMIC_FLOOR_APS))
+            .expect("largest dynamics floor decodes");
+        for aps in [MAX_DYNAMIC_FLOOR_APS + 1, 4_096, MAX_FLOOR_APS] {
             match JobSpec::from_json_str(&spec(aps)) {
                 Err(SpecError::Decode(err)) => {
                     assert_eq!(err.path, "$.experiment.aps", "{err}")
