@@ -182,6 +182,18 @@ impl FadingCorrelation {
 /// coarse but standard decorrelation-distance model.
 const SHADOWING_CELL_M: f64 = 2.0;
 
+/// The frozen shadowing field's cell of the link `tx -> rx`: both endpoints
+/// quantised to [`SHADOWING_CELL_M`].
+fn shadow_cell(tx: &Point, rx: &Point) -> [i64; 4] {
+    let q = |v: f64| (v / SHADOWING_CELL_M).round() as i64;
+    [q(tx.x), q(tx.y), q(rx.x), q(rx.y)]
+}
+
+/// Linear amplitude gain of a link with the given path loss and shadowing.
+fn amp_from_db(path_loss_db: f64, shadow_db: f64) -> f64 {
+    10f64.powf(-(path_loss_db + shadow_db) / 20.0)
+}
+
 /// Stateful channel generator bound to one environment.
 #[derive(Debug, Clone)]
 pub struct ChannelModel {
@@ -215,12 +227,16 @@ impl ChannelModel {
     /// field: deterministic in the positions, fully correlated within a
     /// [`SHADOWING_CELL_M`] cell and independent across cells.
     fn shadowing_db(&self, tx: &Point, rx: &Point) -> f64 {
+        self.shadowing_db_in(shadow_cell(tx, rx))
+    }
+
+    /// Shadowing (dB) of every link whose endpoints fall in `cell`.
+    fn shadowing_db_in(&self, cell: [i64; 4]) -> f64 {
         if self.env.shadowing.sigma_db == 0.0 {
             return 0.0;
         }
-        let q = |v: f64| (v / SHADOWING_CELL_M).round() as i64;
         let mut h = self.shadow_field_seed;
-        for coord in [q(tx.x), q(tx.y), q(rx.x), q(rx.y)] {
+        for coord in cell {
             h ^= (coord as u64).wrapping_mul(0x9E3779B97F4A7C15);
             h = h.rotate_left(23).wrapping_mul(0xBF58476D1CE4E5B9);
         }
@@ -231,8 +247,35 @@ impl ChannelModel {
     /// Large-scale amplitude gain (path loss + frozen shadowing) for a link.
     fn large_scale_amp(&self, tx: &Point, rx: &Point) -> f64 {
         let pl_db = self.env.path_loss.path_loss_db(tx.distance(rx));
-        let shadow_db = self.shadowing_db(tx, rx);
-        10f64.powf(-(pl_db + shadow_db) / 20.0)
+        amp_from_db(pl_db, self.shadowing_db(tx, rx))
+    }
+
+    /// [`large_scale_amp`](Self::large_scale_amp) of the link from each of
+    /// `antennas` to `rx`, in antenna order, calling `each(k, distance, g)`.
+    /// An antenna in the same shadowing cell as the one before it reuses
+    /// that antenna's shadowing draw — a CAS AP's co-located array pays one
+    /// draw, not one per antenna — which gives the same bits, because the
+    /// draw is a function of the cell alone.
+    fn large_scale_amps(
+        &self,
+        antennas: &[Point],
+        rx: &Point,
+        mut each: impl FnMut(usize, f64, f64),
+    ) {
+        let mut last: Option<([i64; 4], f64)> = None;
+        for (k, tx) in antennas.iter().enumerate() {
+            let cell = shadow_cell(tx, rx);
+            let shadow_db = match last {
+                Some((seen, db)) if seen == cell => db,
+                _ => last.insert((cell, self.shadowing_db_in(cell))).1,
+            };
+            let d = tx.distance(rx);
+            each(
+                k,
+                d,
+                amp_from_db(self.env.path_loss.path_loss_db(d), shadow_db),
+            );
+        }
     }
 
     /// Small-scale fading distribution of a link of the given length.
@@ -437,9 +480,8 @@ impl ChannelModel {
                 .fold(Complex::ZERO, |acc, x| acc + x);
         }
         let mut phases = raw[4 * n_a..].iter();
-        for (k, apos) in antennas.iter().enumerate() {
-            let g = self.large_scale_amp(apos, client);
-            let f = match self.fading_kind(apos.distance(client)) {
+        self.large_scale_amps(antennas, client, |k, d, g| {
+            let f = match self.fading_kind(d) {
                 fading::FadingKind::None => Complex::ONE,
                 fading::FadingKind::Rayleigh => h_row[k],
                 fading::FadingKind::Rician { k_db } => {
@@ -453,7 +495,7 @@ impl ChannelModel {
             };
             g_row[k] = g;
             h_row[k] = f.scale(g);
-        }
+        });
     }
 
     /// Evolves a channel realisation forward by `delay_s` seconds using the
@@ -561,8 +603,7 @@ impl ChannelModel {
         position: &Point,
     ) {
         assert_eq!(antennas.len(), channel.num_antennas());
-        for (k, apos) in antennas.iter().enumerate() {
-            let g_new = self.large_scale_amp(apos, position);
+        self.large_scale_amps(antennas, position, |k, _, g_new| {
             let g_old = channel.large_scale.get(row, k);
             let h = channel.h.get(row, k);
             let h_new = if g_old > 0.0 {
@@ -572,7 +613,7 @@ impl ChannelModel {
             };
             channel.large_scale.set(row, k, g_new);
             channel.h.set(row, k, h_new);
-        }
+        });
     }
 
     /// Counter-keyed counterpart of [`ChannelModel::evolve_in_place`]:
@@ -750,6 +791,37 @@ mod tests {
         model.refresh_large_scale_row(&mut ch, 1, antennas, &home);
         for k in 0..ch.num_antennas() {
             assert!((ch.large_scale.get(1, k) - before.large_scale.get(1, k)).abs() < 1e-15);
+        }
+    }
+
+    #[test]
+    fn shared_shadowing_cells_give_the_per_antenna_gains_bit_for_bit() {
+        let mut rng = SimRng::new(0x5AD0);
+        // Antennas alternating across a shadowing-cell boundary (x = 1 m),
+        // then random CAS- and DAS-like sets.
+        let straddling: Vec<Point> = [0.98, 1.02, 1.02, 0.98, 0.98]
+            .iter()
+            .map(|&x| Point::new(x, 4.0))
+            .collect();
+        let mut cases = vec![(straddling, vec![Point::new(9.0, 3.0), Point::new(1.0, 4.5)])];
+        cases.extend((0..30).map(|_| random_links(&mut rng)));
+        for (trial, (antennas, clients)) in cases.iter().enumerate() {
+            let mut model = ChannelModel::new(Environment::office_a(), trial as u64);
+            let mut ch = model.realize_positions(antennas, clients);
+            for (j, client) in clients.iter().enumerate() {
+                let direct: Vec<u64> = antennas
+                    .iter()
+                    .map(|a| model.large_scale_amp(a, client).to_bits())
+                    .collect();
+                let realised: Vec<u64> =
+                    ch.large_scale.row(j).iter().map(|g| g.to_bits()).collect();
+                assert_eq!(realised, direct, "trial {trial} client {j}: realised");
+                model.refresh_large_scale_row(&mut ch, j, antennas, &Point::new(7.0, -2.0));
+                model.refresh_large_scale_row(&mut ch, j, antennas, client);
+                let refreshed: Vec<u64> =
+                    ch.large_scale.row(j).iter().map(|g| g.to_bits()).collect();
+                assert_eq!(refreshed, direct, "trial {trial} client {j}: refreshed");
+            }
         }
     }
 

@@ -547,21 +547,22 @@ pub(crate) fn enterprise_scaling(
         .rounds(rounds)
         .seed_mix(1021, 101);
     let session = configure(builder).build();
-    let rows = session.run_tapped(topologies, seed, tap, |trial, simulate| {
+    let rows = session.run_tapped(topologies, seed, tap, |trial, pair| {
         // Structural diagnostic: range-limited AP contention degree of the
-        // DAS deployment (same frozen shadowing field as the simulator).
-        let graph = ContentionGraph::new(env, trial.seed() ^ 0x5151);
-        let adjacency = graph.ap_adjacency_indexed(
-            &trial.pair().das,
-            env.interaction_range_m(INTERACTION_MARGIN_DB),
-        );
-        let degree = adjacency
-            .iter()
-            .map(|row| row.iter().filter(|&&x| x).count())
-            .sum::<usize>() as f64
-            / adjacency.len().max(1) as f64;
-        let cas = simulate(MacKind::Cas);
-        let das = simulate(MacKind::Midas);
+        // DAS deployment (same frozen shadowing field as the simulator),
+        // computed in the CAS lane while MIDAS runs.
+        let (degree, cas, das) = pair.simulate_after(|| {
+            let graph = ContentionGraph::new(env, trial.seed() ^ 0x5151);
+            let adjacency = graph.ap_adjacency_indexed(
+                &trial.pair().das,
+                env.interaction_range_m(INTERACTION_MARGIN_DB),
+            );
+            adjacency
+                .iter()
+                .map(|row| row.iter().filter(|&&x| x).count())
+                .sum::<usize>() as f64
+                / adjacency.len().max(1) as f64
+        });
         (
             cas.mean_capacity(),
             das.mean_capacity(),

@@ -1,8 +1,10 @@
 //! The session layer: composing a topology source, contention model,
 //! traffic workload and observers into reproducible paired experiments.
 
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread;
 
 use crate::runner::SeedSweep;
 use crate::sim::source::TopologySource;
@@ -201,8 +203,11 @@ impl SessionBuilder {
     }
 
     /// Overrides the sweep worker count (default: ambient
-    /// `MIDAS_THREADS` / available parallelism).  Series are bit-identical
-    /// at any setting.
+    /// `MIDAS_THREADS` / available parallelism) — the bound on the compute
+    /// threads a run uses.  Trials fan out across the workers; when there
+    /// are at least twice as many workers as trials, each trial also runs
+    /// its CAS and MIDAS simulations side by side, one per worker.  Series
+    /// are bit-identical at any setting.
     pub fn threads(mut self, workers: usize) -> Self {
         self.threads = Some(workers);
         self
@@ -270,9 +275,8 @@ impl Session {
         seed: u64,
         tap: Option<&Tap<'_>>,
     ) -> Option<SessionSeries> {
-        let rows = self.run_tapped(topologies, seed, tap, |_, simulate| {
-            let cas = simulate(MacKind::Cas);
-            let das = simulate(MacKind::Midas);
+        let rows = self.run_tapped(topologies, seed, tap, |_, pair| {
+            let (cas, das) = pair.simulate();
             (
                 (cas.mean_capacity(), das.mean_capacity()),
                 (
@@ -292,11 +296,12 @@ impl Session {
     }
 
     /// [`Session::run_trials`] with an optional [`Tap`]: `f` gets the trial
-    /// and a `simulate` that runs one MAC to completion, teeing the tap's
-    /// observer in.  Once any tap observer requests a stop, trials that
-    /// have not started are skipped before their topology is built, and
-    /// the run returns `None`.  Without a tap, `simulate` is
-    /// [`SessionTrial::simulate`] and the run always completes.
+    /// and its [`Pair`], which runs the trial's CAS and MIDAS simulations,
+    /// teeing the tap's observer into each.  Once any tap observer requests
+    /// a stop, trials that have not started are skipped before their
+    /// topology is built, and the run returns `None`.  Without a tap, each
+    /// simulation is [`SessionTrial::simulate`] and the run always
+    /// completes.
     pub(crate) fn run_tapped<T, F>(
         &self,
         topologies: usize,
@@ -306,29 +311,23 @@ impl Session {
     ) -> Option<Vec<T>>
     where
         T: Send,
-        F: Fn(&SessionTrial<'_>, &dyn Fn(MacKind) -> TopologyResult) -> T + Sync,
+        F: Fn(&SessionTrial<'_>, &Pair<'_, '_>) -> T + Sync,
     {
+        let sweep = self.sweep(seed);
+        let split = splits_lanes(&sweep, topologies);
         let stopped = AtomicBool::new(false);
-        let rows = self.sweep(seed).run(topologies, &|t: usize, s: u64| {
+        let rows = sweep.run(topologies, &|t: usize, s: u64| {
             if stopped.load(Ordering::Relaxed) {
                 return None;
             }
             let trial = self.trial(t, s);
-            let simulate = |mac: MacKind| match tap {
-                None => trial.simulate(mac),
-                Some(tap) => {
-                    let mut acc = Accumulate::new();
-                    trial.observe(mac, &mut Tee::new(vec![&mut acc, &mut *tap(t, mac)]));
-                    let result = acc.into_result();
-                    // A simulator cuts a run short only when an observer
-                    // asked it to stop.
-                    if result.per_round_capacity.len() < trial.config(mac).rounds {
-                        stopped.store(true, Ordering::Relaxed);
-                    }
-                    result
-                }
+            let pair = Pair {
+                trial: &trial,
+                tap,
+                split,
+                stopped: &stopped,
             };
-            Some(f(&trial, &simulate))
+            Some(f(&trial, &pair))
         });
         // The flag publishes no other data, and the sweep has joined its
         // workers by now.
@@ -354,9 +353,10 @@ impl Session {
     }
 
     /// Streaming variant of [`Session::run`]: per trial, builds one
-    /// observer pair via `make` (CAS first, then MIDAS), streams both
-    /// simulations through them, and returns the pairs in trial order.
-    /// With fixed-size observers (e.g.
+    /// observer pair via `make` (one per MAC), streams both simulations
+    /// through them — side by side when the sweep has spare workers, as in
+    /// [`Session::run`] — and returns the pairs in trial order.  With
+    /// fixed-size observers (e.g.
     /// [`RunningSummary`](midas_net::observer::RunningSummary)) peak memory
     /// is flat in the round count.
     pub fn stream<O, F>(&self, topologies: usize, seed: u64, make: F) -> Vec<(O, O)>
@@ -364,13 +364,102 @@ impl Session {
         O: Observer + Send,
         F: Fn() -> O + Sync,
     {
-        self.run_trials(topologies, seed, &|trial: &SessionTrial<'_>| {
-            let mut cas = make();
-            trial.observe(MacKind::Cas, &mut cas);
-            let mut das = make();
-            trial.observe(MacKind::Midas, &mut das);
-            (cas, das)
+        let observe = |trial: &SessionTrial<'_>, mac: MacKind| {
+            let mut observer = make();
+            trial.observe(mac, &mut observer);
+            observer
+        };
+        self.run_tapped(topologies, seed, None, |trial, pair| {
+            pair.lanes(
+                || observe(trial, MacKind::Cas),
+                || observe(trial, MacKind::Midas),
+            )
         })
+        .expect("an untapped run never stops")
+    }
+}
+
+/// Whether a sweep of `trials` trials runs each trial's CAS and MIDAS
+/// simulations on two lanes: only when it was granted at least two workers
+/// per trial, so the lanes never take more threads than the sweep was
+/// granted.  The rule rests on the worker and trial counts alone.
+fn splits_lanes(sweep: &SeedSweep, trials: usize) -> bool {
+    let lanes = trials.saturating_mul(2);
+    trials > 0 && sweep.workers_for(lanes) >= lanes
+}
+
+/// One trial's paired simulations, as [`Session::run_tapped`] hands them
+/// to its closure.  The two simulations share nothing but the topology, so
+/// when the sweep has spare workers MIDAS runs on a scoped thread of its
+/// own beside CAS; otherwise CAS runs first, then MIDAS.  Either way the
+/// results are bit-identical.
+pub(crate) struct Pair<'p, 't> {
+    trial: &'p SessionTrial<'p>,
+    tap: Option<&'p Tap<'t>>,
+    split: bool,
+    stopped: &'p AtomicBool,
+}
+
+impl Pair<'_, '_> {
+    /// Runs the trial's CAS and MIDAS simulations to completion:
+    /// `(cas, midas)`.
+    pub(crate) fn simulate(&self) -> (TopologyResult, TopologyResult) {
+        let ((), cas, midas) = self.simulate_after(|| ());
+        (cas, midas)
+    }
+
+    /// [`Pair::simulate`], with `first` run ahead of CAS in the CAS lane
+    /// (a per-trial diagnostic that overlaps the MIDAS simulation).
+    pub(crate) fn simulate_after<A>(
+        &self,
+        first: impl FnOnce() -> A,
+    ) -> (A, TopologyResult, TopologyResult) {
+        let ((first, cas), midas) = self.lanes(
+            || (first(), self.simulate_one(MacKind::Cas)),
+            || self.simulate_one(MacKind::Midas),
+        );
+        (first, cas, midas)
+    }
+
+    /// Runs `cas` on this thread and `midas` beside it on a scoped thread
+    /// when the lanes split, otherwise `cas` then `midas`.  A panic in
+    /// either propagates with its original payload.
+    pub(crate) fn lanes<A, B: Send>(
+        &self,
+        cas: impl FnOnce() -> A,
+        midas: impl FnOnce() -> B + Send,
+    ) -> (A, B) {
+        if !self.split {
+            let cas = cas();
+            return (cas, midas());
+        }
+        thread::scope(|scope| {
+            let midas = scope.spawn(midas);
+            let cas = cas();
+            let midas = midas
+                .join()
+                .unwrap_or_else(|payload| resume_unwind(payload));
+            (cas, midas)
+        })
+    }
+
+    /// Runs one MAC to completion, teeing the tap's observer in; a run the
+    /// tap cut short marks the sweep stopped.
+    fn simulate_one(&self, mac: MacKind) -> TopologyResult {
+        let Some(tap) = self.tap else {
+            return self.trial.simulate(mac);
+        };
+        let mut acc = Accumulate::new();
+        let mut observer = tap(self.trial.index(), mac);
+        self.trial
+            .observe(mac, &mut Tee::new(vec![&mut acc, &mut *observer]));
+        let result = acc.into_result();
+        // A simulator cuts a run short only when an observer asked it to
+        // stop.
+        if result.per_round_capacity.len() < self.trial.config(mac).rounds {
+            self.stopped.store(true, Ordering::Relaxed);
+        }
+        result
     }
 }
 
@@ -597,6 +686,125 @@ mod tests {
         // Trial 0 ran both MACs; trials 1..5 never built a topology.
         assert_eq!(BUILDS.load(Ordering::SeqCst), 1);
         assert_eq!(taps.load(Ordering::SeqCst), 2);
+    }
+
+    /// A tap whose observers meet at `on_start`: each waits up to
+    /// `patience` for the other MAC's observer to arrive, and records
+    /// whether it did.  Only simulations running at the same time can meet.
+    struct Rendezvous {
+        arrived: std::sync::Mutex<usize>,
+        all_here: std::sync::Condvar,
+        met: AtomicUsize,
+        patience: std::time::Duration,
+    }
+
+    impl Rendezvous {
+        fn new(patience_ms: u64) -> Self {
+            Rendezvous {
+                arrived: std::sync::Mutex::new(0),
+                all_here: std::sync::Condvar::new(),
+                met: AtomicUsize::new(0),
+                patience: std::time::Duration::from_millis(patience_ms),
+            }
+        }
+    }
+
+    impl Observer for &Rendezvous {
+        fn on_start(&mut self, _clients: usize, _aps: usize, _rounds: usize) {
+            let mut arrived = self.arrived.lock().unwrap();
+            *arrived += 1;
+            self.all_here.notify_all();
+            let (arrived, _) = self
+                .all_here
+                .wait_timeout_while(arrived, self.patience, |n| *n < 2)
+                .unwrap();
+            if *arrived >= 2 {
+                self.met.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        fn on_round(&mut self, _record: &RoundRecord<'_>) {}
+    }
+
+    #[test]
+    fn a_trial_runs_cas_and_midas_side_by_side_given_two_workers_per_trial() {
+        let session = |threads| {
+            SessionBuilder::new(PairedRecipe::three_ap_paper())
+                .rounds(2)
+                .threads(threads)
+                .build()
+        };
+        // Two workers for one trial: the two simulations overlap, so both
+        // observers meet (the generous timeout only bounds a failure).
+        let both = Rendezvous::new(60_000);
+        let tap = |_: usize, _: MacKind| -> Box<dyn Observer + '_> { Box::new(&both) };
+        let lanes = session(2).run_series(1, 5, Some(&tap)).unwrap();
+        assert_eq!(both.met.load(Ordering::SeqCst), 2);
+        // One worker, or fewer than two workers per trial: CAS then MIDAS,
+        // so the CAS observer waits alone and gives up; only the MIDAS
+        // observer, arriving after it, finds both arrived.
+        for (threads, trials) in [(1, 1), (2, 2), (3, 2)] {
+            let alone = Rendezvous::new(50);
+            let tap = |t: usize, _: MacKind| -> Box<dyn Observer + '_> {
+                // Only trial 0's observers take part.
+                if t == 0 {
+                    Box::new(&alone)
+                } else {
+                    Box::new(RunningSummary::new())
+                }
+            };
+            session(threads).run_series(trials, 5, Some(&tap)).unwrap();
+            assert_eq!(
+                alone.met.load(Ordering::SeqCst),
+                1,
+                "{threads} workers, {trials} trials"
+            );
+        }
+        // The overlap changes no bit of the series.
+        let serial = session(1).run(1, 5);
+        assert_eq!(lanes.network, serial.network);
+        assert_eq!(lanes.per_client, serial.per_client);
+    }
+
+    #[test]
+    fn a_tap_stop_ends_both_side_by_side_simulations() {
+        struct StopAfterOne<'a>(&'a AtomicUsize);
+        impl Observer for StopAfterOne<'_> {
+            fn on_round(&mut self, _record: &RoundRecord<'_>) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+            fn stop_requested(&mut self) -> bool {
+                true
+            }
+        }
+        let rounds_seen = AtomicUsize::new(0);
+        let taps = AtomicUsize::new(0);
+        let tap = |_: usize, _: MacKind| -> Box<dyn Observer + '_> {
+            taps.fetch_add(1, Ordering::SeqCst);
+            Box::new(StopAfterOne(&rounds_seen))
+        };
+        let session = SessionBuilder::new(PairedRecipe::three_ap_paper())
+            .rounds(50)
+            .threads(2)
+            .build();
+        assert!(session.run_series(1, 3, Some(&tap)).is_none());
+        // Both MACs ran, and each stopped after its first round.
+        assert_eq!(taps.load(Ordering::SeqCst), 2);
+        assert_eq!(rounds_seen.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn stream_is_bit_identical_with_side_by_side_simulations() {
+        let stream = |threads| {
+            SessionBuilder::new(PairedRecipe::three_ap_paper())
+                .rounds(3)
+                .threads(threads)
+                .build()
+                .stream(1, 13, Accumulate::new)
+                .into_iter()
+                .map(|(cas, das)| (cas.into_result(), das.into_result()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(stream(1), stream(2));
     }
 
     #[test]

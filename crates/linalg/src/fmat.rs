@@ -100,6 +100,22 @@ impl FMat {
         &self.data
     }
 
+    /// Appends one all-zero row — storage for a matrix filled row by row.
+    pub fn push_zero_row(&mut self) {
+        self.data.resize(self.data.len() + self.cols, 0.0);
+        self.rows += 1;
+    }
+
+    /// Reserves room for exactly `additional` more rows (no growth slack).
+    pub fn reserve_rows(&mut self, additional: usize) {
+        self.data.reserve_exact(additional * self.cols);
+    }
+
+    /// Bytes of heap the matrix retains (its capacity, not its length).
+    pub fn heap_bytes(&self) -> usize {
+        self.data.capacity() * std::mem::size_of::<f64>()
+    }
+
     /// Extracts the sub-matrix made of the given row and column indices, in
     /// the order supplied.
     pub fn select(&self, row_idx: &[usize], col_idx: &[usize]) -> FMat {
@@ -152,5 +168,18 @@ mod tests {
         let mut m = FMat::zeros(2, 2);
         m.row_mut(1)[0] = 42.0;
         assert_eq!(m.get(1, 0), 42.0);
+    }
+
+    #[test]
+    fn pushed_rows_append_zeros_within_the_reserved_capacity() {
+        let mut m = FMat::zeros(0, 3);
+        m.reserve_rows(2);
+        assert_eq!(m.heap_bytes(), 2 * 3 * 8);
+        m.push_zero_row();
+        m.row_mut(0)[2] = 7.0;
+        m.push_zero_row();
+        assert_eq!(m.shape(), (2, 3));
+        assert_eq!(m.data(), &[0.0, 0.0, 7.0, 0.0, 0.0, 0.0]);
+        assert_eq!(m.heap_bytes(), 2 * 3 * 8);
     }
 }

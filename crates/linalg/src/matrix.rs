@@ -205,6 +205,22 @@ impl CMat {
         &self.data
     }
 
+    /// Appends one all-zero row — storage for a matrix filled row by row.
+    pub fn push_zero_row(&mut self) {
+        self.data.resize(self.data.len() + self.cols, Complex::ZERO);
+        self.rows += 1;
+    }
+
+    /// Reserves room for exactly `additional` more rows (no growth slack).
+    pub fn reserve_rows(&mut self, additional: usize) {
+        self.data.reserve_exact(additional * self.cols);
+    }
+
+    /// Bytes of heap the matrix retains (its capacity, not its length).
+    pub fn heap_bytes(&self) -> usize {
+        self.data.capacity() * std::mem::size_of::<Complex>()
+    }
+
     /// Plain (non-conjugate) transpose.
     pub fn transpose(&self) -> CMat {
         let mut out = CMat::zeros(self.cols, self.rows);
@@ -470,6 +486,20 @@ mod tests {
 
     fn c(re: f64, im: f64) -> Complex {
         Complex::new(re, im)
+    }
+
+    #[test]
+    fn pushed_rows_append_zeros_within_the_reserved_capacity() {
+        let mut m = CMat::zeros(0, 2);
+        m.reserve_rows(2);
+        assert_eq!(m.heap_bytes(), 2 * 2 * 16);
+        m.push_zero_row();
+        m.row_mut(0)[1] = c(1.0, -1.0);
+        m.push_zero_row();
+        assert_eq!(m.shape(), (2, 2));
+        assert_eq!(m.row(0), &[Complex::ZERO, c(1.0, -1.0)]);
+        assert_eq!(m.row(1), &[Complex::ZERO, Complex::ZERO]);
+        assert_eq!(m.heap_bytes(), 2 * 2 * 16);
     }
 
     /// Deterministic pseudo-random matrix for bit-identity checks.

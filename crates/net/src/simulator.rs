@@ -507,8 +507,8 @@ impl RoundWorkspace {
 /// (≈ 55 ns each); one kept state (32 B) costs 2 B per row.
 const ROWS_PER_CHECKPOINT: usize = 16;
 
-/// `next_boundary` of a row whose fading has not been drawn yet.
-const UNREALISED: u64 = u64::MAX;
+/// `slot` of a held row whose fading has not been drawn yet.
+const UNDRAWN: u32 = u32::MAX;
 
 /// One AP's channel state, restricted to the clients in radio range.
 ///
@@ -517,36 +517,44 @@ const UNREALISED: u64 = u64::MAX;
 /// no reason to realise, store or evolve those rows: per-AP channel state
 /// shrinks from O(all clients) to O(clients in range), which is what turns
 /// the simulator's per-round cost from O(n²) into O(n·k) at enterprise
-/// scale.  Row `r` of `ch` belongs to global client `clients[r]`; a client's
+/// scale.  Held row `r` belongs to global client `clients[r]`; a client's
 /// row is looked up in that ascending list, so the index costs 4 bytes per
 /// row and nothing per out-of-range client.
 ///
 /// A row's fading is drawn only when something first reads it, through
-/// [`realise`](Self::realise).  Construction takes every row's raw draws
-/// from the model's sequential generator in the eager order and keeps the
-/// generator state every [`ROWS_PER_CHECKPOINT`] rows, so a row realised
-/// late — at its client's setup position — holds exactly the bits eager
-/// realisation gave it, and the lazy large-scale refresh and keyed
-/// catch-up then proceed as if it had been realised at construction.
+/// [`realise`](Self::realise), and only then is it stored: `ch` holds the
+/// drawn rows in draw order and `slot` maps each held row to its storage
+/// row.  Construction takes every row's raw draws from the model's
+/// sequential generator in the eager order and keeps the generator state
+/// every [`ROWS_PER_CHECKPOINT`] rows, so a row realised late — at its
+/// client's setup position — holds exactly the bits eager realisation gave
+/// it, and the lazy large-scale refresh and keyed catch-up then proceed as
+/// if it had been realised at construction.  A held row costs 10 bytes
+/// (client id, slot, checkpoint share); a drawn row adds its antenna-wide
+/// `h` and `large_scale` rows and its bookkeeping.
 struct ApChannel {
+    /// Drawn rows only, in draw order (storage row `s` is the `s`-th row
+    /// drawn).
     ch: ChannelMatrix,
-    /// Row → global client id, strictly ascending: every client within the
-    /// interaction range of any of this AP's antennas, plus the AP's own
+    /// Held row → global client id, strictly ascending: every client within
+    /// the interaction range of any of this AP's antennas, plus the AP's own
     /// clients (all clients when rows are dense).
     clients: Vec<u32>,
-    /// Per-row next evolution boundary (round number).  A row whose entry
-    /// is `b` has absorbed every keyed innovation for boundaries `< b`; lazy
-    /// catch-up replays boundaries `b, b+interval, …` up to the current
-    /// round before the row is read.  0 once the row is realised (the
-    /// initial realisation has seen no evolution); [`UNREALISED`] before.
+    /// Held row → storage row in `ch`; [`UNDRAWN`] until the row is drawn.
+    slot: Vec<u32>,
+    /// Per storage row, the next evolution boundary (round number).  A row
+    /// whose entry is `b` has absorbed every keyed innovation for
+    /// boundaries `< b`; lazy catch-up replays boundaries `b, b+interval, …`
+    /// up to the current round before the row is read.  0 when the row is
+    /// drawn (the initial realisation has seen no evolution).
     next_boundary: Vec<u64>,
-    /// Per-row position version of the large-scale gains: a row whose entry
-    /// differs from its client's current version (see
+    /// Per storage row, the position version of the large-scale gains: a
+    /// row whose entry differs from its client's current version (see
     /// [`DynamicsState::position_versions`]) has gains from an older
-    /// position and is refreshed just before it is read.  Empty when
+    /// position and is refreshed just before it is read.  `None` when
     /// dynamics are off (positions never change).
-    g_version: Vec<u64>,
-    /// Sequential-generator state before rows `0, K, 2K, …`
+    g_version: Option<Vec<u64>>,
+    /// Sequential-generator state before held rows `0, K, 2K, …`
     /// (`K` = [`ROWS_PER_CHECKPOINT`]).
     checkpoints: Vec<SimRng>,
     /// The AP's antenna fading correlation, shared by all its rows.
@@ -554,9 +562,9 @@ struct ApChannel {
 }
 
 impl ApChannel {
-    /// Row of `ch` holding global client `client`'s channel.  Panics when the
-    /// client is out of radio range of every antenna of this AP (its channel
-    /// is never read).
+    /// Held row of global client `client`.  Panics when the client is out
+    /// of radio range of every antenna of this AP (its channel is never
+    /// read).
     fn row(&self, client: usize) -> usize {
         let id = u32::try_from(client).ok();
         // Dense rows list every client in id order, so row == client; that
@@ -568,31 +576,66 @@ impl ApChannel {
             .expect("channel row requested for an out-of-range client")
     }
 
-    /// Bytes of heap this AP's channel state retains (vector capacities;
-    /// the matrices are allocated at their exact size).  The exhaustive
-    /// destructure makes a new field a compile error here until it is
-    /// accounted for.
+    /// Storage row in `ch` of global client `client`, whose row must have
+    /// been drawn.
+    fn stored(&self, client: usize) -> usize {
+        let slot = self.slot[self.row(client)];
+        debug_assert_ne!(slot, UNDRAWN, "read of an undrawn row");
+        slot as usize
+    }
+
+    /// Bytes of heap this AP's channel state retains (vector and matrix
+    /// capacities).  The exhaustive destructure makes a new field a compile
+    /// error here until it is accounted for.
     #[cfg(test)]
     fn heap_footprint_bytes(&self) -> usize {
-        use std::mem::{size_of, size_of_val};
+        use std::mem::size_of;
         let ApChannel {
             ch,
             clients,
+            slot,
             next_boundary,
             g_version,
             checkpoints,
             corr,
         } = self;
-        size_of_val(ch.h.data())
-            + size_of_val(ch.large_scale.data())
-            + clients.capacity() * size_of::<u32>()
-            + (next_boundary.capacity() + g_version.capacity()) * size_of::<u64>()
+        ch.h.heap_bytes()
+            + ch.large_scale.heap_bytes()
+            + (clients.capacity() + slot.capacity()) * size_of::<u32>()
+            + (next_boundary.capacity() + g_version.as_ref().map_or(0, Vec::capacity))
+                * size_of::<u64>()
             + checkpoints.capacity() * size_of::<SimRng>()
             + corr.heap_bytes()
     }
 
+    /// Appends one blank storage row for held row `row` and returns its
+    /// index.  Every per-storage-row buffer grows together, doubling but
+    /// never past the held row count, so they always share one row capacity
+    /// and an AP whose every row is drawn stores no spare row.
+    fn push_stored(&mut self, row: usize) -> usize {
+        let stored = self.next_boundary.len();
+        if stored == self.next_boundary.capacity() {
+            let more = stored.max(4).min(self.clients.len() - stored);
+            self.ch.h.reserve_rows(more);
+            self.ch.large_scale.reserve_rows(more);
+            self.next_boundary.reserve_exact(more);
+            if let Some(versions) = &mut self.g_version {
+                versions.reserve_exact(more);
+            }
+        }
+        self.ch.h.push_zero_row();
+        self.ch.large_scale.push_zero_row();
+        self.next_boundary.push(0);
+        if let Some(versions) = &mut self.g_version {
+            versions.push(0);
+        }
+        self.slot[row] = u32::try_from(stored).expect("stored rows fit in u32");
+        stored
+    }
+
     /// Draws the fading of each listed client's row that has none yet — the
-    /// one place a row is realised — and returns how many it drew.
+    /// one place a row is realised and stored — and returns how many it
+    /// drew.
     ///
     /// A row is replayed from the nearest checkpoint at or below it and
     /// finished at its client's setup position (`setup`, by global id).  The
@@ -612,7 +655,7 @@ impl ApChannel {
         let mut drawn = 0;
         for client in clients {
             let row = self.row(client);
-            if self.next_boundary[row] != UNREALISED {
+            if self.slot[row] != UNDRAWN {
                 continue;
             }
             let block = row - row % ROWS_PER_CHECKPOINT;
@@ -629,15 +672,15 @@ impl ApChannel {
             }
             model.take_row(stream, antennas, &setup[client], raw);
             *next = row + 1;
+            let stored = self.push_stored(row);
             model.finish_row(
                 &self.corr,
                 antennas,
                 &setup[client],
                 raw,
-                self.ch.h.row_mut(row),
-                self.ch.large_scale.row_mut(row),
+                self.ch.h.row_mut(stored),
+                self.ch.large_scale.row_mut(stored),
             );
-            self.next_boundary[row] = 0;
             drawn += 1;
         }
         drawn
@@ -645,12 +688,7 @@ impl ApChannel {
 
     /// Client `client`'s composite gains towards every antenna of this AP.
     fn h_row(&self, client: usize) -> &[Complex] {
-        let row = self.row(client);
-        debug_assert_ne!(
-            self.next_boundary[row], UNREALISED,
-            "read of an unrealised row"
-        );
-        self.ch.h.row(row)
+        self.ch.h.row(self.stored(client))
     }
 
     /// Brings `client`'s large-scale gains to position version `version`
@@ -664,33 +702,27 @@ impl ApChannel {
         position: &Point,
         version: u64,
     ) -> bool {
-        let row = self.row(client);
-        debug_assert_ne!(
-            self.next_boundary[row], UNREALISED,
-            "refresh of an unrealised row"
-        );
-        if self.g_version[row] == version {
+        let stored = self.stored(client);
+        let versions = self
+            .g_version
+            .as_mut()
+            .expect("large-scale versions are kept when dynamics are on");
+        if versions[stored] == version {
             return false;
         }
-        model.refresh_large_scale_row(&mut self.ch, row, antennas, position);
-        self.g_version[row] = version;
+        versions[stored] = version;
+        model.refresh_large_scale_row(&mut self.ch, stored, antennas, position);
         true
     }
 
     /// Mean RSSI (dBm) of a global client from AP-local antenna `k`.
     fn mean_rssi_dbm(&self, client: usize, antenna: usize) -> f64 {
-        let row = self.row(client);
-        debug_assert_ne!(
-            self.next_boundary[row], UNREALISED,
-            "read of an unrealised row"
-        );
-        self.ch.mean_rssi_dbm(row, antenna)
+        self.ch.mean_rssi_dbm(self.stored(client), antenna)
     }
 
     /// Sub-channel over global clients × AP-local antennas.
     fn select(&self, clients: &[usize], antennas: &[usize]) -> ChannelMatrix {
-        let rows: Vec<usize> = clients.iter().map(|&c| self.row(c)).collect();
-        debug_assert!(rows.iter().all(|&r| self.next_boundary[r] != UNREALISED));
+        let rows: Vec<usize> = clients.iter().map(|&c| self.stored(c)).collect();
         self.ch.select(&rows, antennas)
     }
 }
@@ -805,17 +837,12 @@ impl NetworkSimulator {
                     .iter()
                     .map(|&c| u32::try_from(c).expect("client ids fit in u32"))
                     .collect();
-                let next_boundary = vec![UNREALISED; clients.len()];
-                let g_version = if dense_rows {
-                    vec![0; clients.len()]
-                } else {
-                    Vec::new()
-                };
                 ApChannel {
-                    ch: model.blank_matrix(clients.len(), ap.num_antennas()),
+                    ch: model.blank_matrix(0, ap.num_antennas()),
+                    slot: vec![UNDRAWN; clients.len()],
                     clients,
-                    next_boundary,
-                    g_version,
+                    next_boundary: Vec::new(),
+                    g_version: dense_rows.then(Vec::new),
                     checkpoints,
                     corr: FadingCorrelation::new(&ap.antennas),
                 }
@@ -1498,7 +1525,7 @@ impl NetworkSimulator {
         if threads <= 1 {
             for &(ap, client) in touched.iter() {
                 let apch = &mut self.channels[ap as usize];
-                let row = apch.row(client as usize);
+                let row = apch.stored(client as usize);
                 let mut boundary = apch.next_boundary[row];
                 if boundary > current_boundary {
                     continue; // up to date within this coherence interval
@@ -1561,7 +1588,7 @@ impl NetworkSimulator {
                     let mut pairs = Vec::new();
                     for (i, &(ap, client)) in my_jobs.iter().enumerate() {
                         let apch = &channels[ap as usize];
-                        let row = apch.row(client as usize);
+                        let row = apch.stored(client as usize);
                         let seg = &mut mine[my_offsets[i] - base..my_offsets[i + 1] - base];
                         seg.copy_from_slice(apch.ch.h.row(row));
                         let g_row = apch.ch.large_scale.row(row);
@@ -1587,7 +1614,7 @@ impl NetworkSimulator {
         // Phase B: serial copy-back + bookkeeping.
         for (i, &(ap, client)) in touched.iter().enumerate() {
             let apch = &mut self.channels[ap as usize];
-            let row = apch.row(client as usize);
+            let row = apch.stored(client as usize);
             if apch.next_boundary[row] > current_boundary {
                 continue; // was already up to date; scratch holds an unchanged copy
             }
@@ -1793,7 +1820,7 @@ mod tests {
             // positions).
             let fresh = |ap: usize, client: usize| {
                 let apch = &sim.channels[ap];
-                let row = apch.row(client);
+                let row = apch.stored(client);
                 let mut ch = apch.ch.clone();
                 let position = &sim.topo.clients[client].position;
                 sim.model.refresh_large_scale_row(
@@ -1806,7 +1833,7 @@ mod tests {
             };
             let current = |ap: usize, client: usize| {
                 let apch = &sim.channels[ap];
-                apch.ch.large_scale.row(apch.row(client)).to_vec()
+                apch.ch.large_scale.row(apch.stored(client)).to_vec()
             };
             let ws = &sim.workspace;
             let own = ws
@@ -1822,9 +1849,12 @@ mod tests {
                     "{rounds} rounds: row (ap {ap}, client {client}) is stale"
                 );
             }
-            // And the refresh really is lazy: some row nobody read is stale.
-            stale_rows_seen |= (0..sim.topo.aps.len())
-                .any(|ap| (0..sim.topo.clients.len()).any(|c| current(ap, c) != fresh(ap, c)));
+            // And the refresh really is lazy: some drawn row nobody read is
+            // stale.
+            let drawn = |ap: usize, c: usize| sim.channels[ap].slot[c] != UNDRAWN;
+            stale_rows_seen |= (0..sim.topo.aps.len()).any(|ap| {
+                (0..sim.topo.clients.len()).any(|c| drawn(ap, c) && current(ap, c) != fresh(ap, c))
+            });
         }
         assert!(stale_rows_seen, "every row was refreshed: not lazy");
     }
@@ -1928,6 +1958,10 @@ mod tests {
             );
         }
         assert_eq!(sim.rows_drawn(), sim.rows_realised());
+        for apch in &sim.channels {
+            // Every held row is drawn and no spare row is stored.
+            assert_eq!(apch.next_boundary.capacity(), apch.clients.len());
+        }
 
         // Eager: every AP's rows realised in turn from one fresh model.
         let mut eager = ChannelModel::new(sim.config.env, sim.config.seed);
@@ -1938,14 +1972,22 @@ mod tests {
                 .map(|&c| sim.topo.clients[c as usize].position)
                 .collect();
             let reference = eager.realize_positions(&sim.topo.aps[ap].antennas, &positions);
-            let bits = |ch: &ChannelMatrix| -> Vec<u64> {
-                ch.h.data()
+            // Held row `r` against the eager row `r`, wherever it is stored.
+            let bits = |ch: &ChannelMatrix, row: usize| -> Vec<u64> {
+                ch.h.row(row)
                     .iter()
                     .flat_map(|c| [c.re.to_bits(), c.im.to_bits()])
-                    .chain(ch.large_scale.data().iter().map(|g| g.to_bits()))
+                    .chain(ch.large_scale.row(row).iter().map(|g| g.to_bits()))
                     .collect()
             };
-            assert_eq!(bits(&apch.ch), bits(&reference), "AP {ap}");
+            for (row, &stored) in apch.slot.iter().enumerate() {
+                assert_eq!(
+                    bits(&apch.ch, stored as usize),
+                    bits(&reference, row),
+                    "AP {ap} row {row}"
+                );
+            }
+            assert_eq!(apch.ch.num_clients(), apch.clients.len(), "AP {ap}");
         }
         // And construction left the model's generator where eager
         // realisation leaves it.
@@ -1958,29 +2000,46 @@ mod tests {
     #[test]
     fn channel_heap_is_proportional_to_rows_not_floor_clients() {
         use std::mem::size_of;
-        // One row: an antenna-wide `h` and `large_scale` row, the row's
-        // client id and its evolution bookmark.  Per checkpoint block of
-        // rows, one generator state; per AP, its antenna correlation factor.
-        let per_row = |antennas: usize| {
-            antennas * (size_of::<Complex>() + size_of::<f64>())
-                + size_of::<u32>()
-                + size_of::<u64>()
-        };
-        let footprint = |rows: usize, antennas: usize| {
-            rows * per_row(antennas)
+        // A held row: its client id and storage slot.  Per checkpoint block
+        // of held rows, one generator state; per AP, its antenna correlation
+        // factor.
+        let held = |rows: usize, antennas: usize| {
+            rows * 2 * size_of::<u32>()
                 + rows.div_ceil(ROWS_PER_CHECKPOINT) * size_of::<SimRng>()
                 + antennas * antennas * size_of::<f64>()
         };
+        // A stored (drawn) row: an antenna-wide `h` and `large_scale` row
+        // and its evolution bookmark.
+        let per_stored = |antennas: usize| {
+            antennas * (size_of::<Complex>() + size_of::<f64>()) + size_of::<u64>()
+        };
         for clients_per_ap in [4, 32] {
-            let sim = finite_range_sim(clients_per_ap);
-            for (apch, ap) in sim.channels.iter().zip(&sim.topo.aps) {
-                assert_eq!(
-                    apch.heap_footprint_bytes(),
-                    footprint(apch.clients.len(), ap.num_antennas()),
-                    "AP {} on a {}-client floor",
-                    ap.ap_id,
-                    sim.topo.clients.len()
-                );
+            for rounds in [0, 5] {
+                let mut sim = finite_range_sim(clients_per_ap);
+                sim.config.rounds = rounds;
+                sim.run();
+                for (apch, ap) in sim.channels.iter().zip(&sim.topo.aps) {
+                    let drawn = apch.slot.iter().filter(|&&s| s != UNDRAWN).count();
+                    assert_eq!(apch.ch.num_clients(), drawn, "only drawn rows are stored");
+                    let capacity = apch.next_boundary.capacity();
+                    // Storage grows by doubling: at most one spare row per
+                    // row drawn (four, before the first doubling), and
+                    // never room for more rows than are held.
+                    assert!(
+                        (drawn..=drawn.max(4) * 2).contains(&capacity)
+                            && capacity <= apch.clients.len(),
+                        "{drawn} of {} rows stored in room for {capacity}",
+                        apch.clients.len()
+                    );
+                    assert_eq!(
+                        apch.heap_footprint_bytes(),
+                        held(apch.clients.len(), ap.num_antennas())
+                            + capacity * per_stored(ap.num_antennas()),
+                        "AP {} on a {}-client floor after {rounds} rounds",
+                        ap.ap_id,
+                        sim.topo.clients.len()
+                    );
+                }
             }
         }
     }

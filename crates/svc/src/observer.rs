@@ -2,12 +2,15 @@
 //! self-describing line per simulated round to a shared append-only sink.
 //!
 //! A session-driven job runs `topologies × {cas, midas}` simulations, in
-//! parallel across sweep workers.  Each simulation gets its own
-//! [`JsonlObserver`], which buffers its lines locally and appends them to
-//! the [`JsonlSink`] as one block when the simulation finishes — so lines
-//! from different simulations never interleave, and every line carries its
-//! `trial`/`mac` tags so consumers can regroup blocks regardless of the
-//! completion order (which worker scheduling decides).
+//! parallel across sweep workers — and, when the sweep has at least two
+//! workers per trial, one trial's CAS and MIDAS simulations side by side.
+//! Each simulation gets its own [`JsonlObserver`], which buffers its lines
+//! locally and appends them to the [`JsonlSink`] as one block when the
+//! simulation finishes — so lines from different simulations never
+//! interleave, and every line carries its `trial`/`mac` tags so consumers
+//! can regroup blocks regardless of the completion order (which worker
+//! scheduling decides).  Blocks of different trials may arrive in any
+//! order, and one trial's CAS and MIDAS blocks in either order.
 
 use std::fs::File;
 use std::io::{self, BufWriter, Write};

@@ -99,7 +99,10 @@ pub struct JobSpec {
     pub traffic: TrafficKind,
     /// Channel coherence interval override, in TXOP rounds.
     pub coherence_interval_rounds: Option<usize>,
-    /// Sweep worker override (results are bit-identical at any setting).
+    /// Sweep worker override: the bound on the job's compute threads, which
+    /// also runs a trial's CAS and MIDAS simulations side by side when there
+    /// are at least two workers per trial (results are bit-identical at any
+    /// setting).
     pub threads: Option<usize>,
     /// Per-job wall-clock deadline; an exceeded deadline cancels the job
     /// cooperatively and records `timeout`.
@@ -400,7 +403,8 @@ impl JobSpec {
                     format!(
                         "with dynamics, a floor of {aps} APs exceeds the \
                          {MAX_DYNAMIC_FLOOR_APS}-AP limit (every client keeps a \
-                         {DENSE_ROW_BYTES} B channel row at every AP, against a \
+                         {DENSE_ROW_BYTES} B channel row at every AP of each of \
+                         {SIMULATORS_PER_TRIAL} simulators, against a \
                          {JOB_BUDGET_BYTES} B job budget)"
                     ),
                 ));
@@ -1143,39 +1147,53 @@ pub fn experiment_to_json(spec: &ExperimentSpec) -> Json {
     Json::Obj(members)
 }
 
-/// Peak resident bytes per AP of a static floor: the 1024-AP / 8192-client
-/// `enterprise_office` floor peaks at ≈38.7 MiB, i.e. ≈38.7 KiB per AP.  A
-/// static floor's memory grows linearly with its APs, because each AP keeps
-/// only the channel rows of the clients in its radio range.
-const BYTES_PER_AP: usize = 39_629;
+/// Peak resident bytes per AP of a static floor, in the worst case: a
+/// trial's CAS and MIDAS simulators both live (they run side by side when
+/// the sweep has two workers per trial) with nearly every held channel row
+/// drawn.  `midas run` on the 1024-AP / 8192-client `enterprise_office`
+/// floor at two threads peaks at 61,804 KiB after 400 rounds (60,996 KiB
+/// after 100), i.e. 61,804 B per AP.  Rows are stored only once drawn, so a
+/// short run peaks far lower (the 10-round `metro_1024ap` benchmark job at
+/// ≈ 37.9 MiB), but the cap must hold for any round count.  A static
+/// floor's memory grows linearly with its APs, because each AP keeps only
+/// the channel rows of the clients in its radio range.
+const BYTES_PER_AP: usize = 61_804;
 
 /// Memory budget of one job.
 const JOB_BUDGET_BYTES: usize = 1 << 30;
 
 /// Largest floor an `enterprise_scaling` spec may ask for: the job budget
-/// over the bytes per AP, 2^30 B ÷ 39,629 B = 27,094 APs.  Larger floors are
+/// over the bytes per AP, 2^30 B ÷ 61,804 B = 17,373 APs.  Larger floors are
 /// refused at decode, before anything is allocated for them.
 const MAX_FLOOR_APS: usize = JOB_BUDGET_BYTES / BYTES_PER_AP;
 
 /// Clients per AP on every library scenario floor.
 const CLIENTS_PER_AP: usize = 8;
 
-/// Bytes of one channel row when dynamics make rows dense, at the
-/// scenarios' 4 antennas: a 64 B composite-gain row, a 32 B large-scale row,
-/// a 4 B client id, an 8 B evolution bookmark, an 8 B position version, and
-/// 2 B of fading checkpoint (32 B per 16 rows).
-const DENSE_ROW_BYTES: usize = 118;
+/// Simulators of one trial that may be live at once: its CAS and MIDAS
+/// simulations run side by side when the sweep has two workers per trial.
+const SIMULATORS_PER_TRIAL: usize = 2;
+
+/// Bytes of one held channel row when dynamics make rows dense, at the
+/// scenarios' 4 antennas, once the row is drawn: a 4 B client id, a 4 B
+/// storage slot and 2 B of fading checkpoint (32 B per 16 rows) for every
+/// held row, plus a 64 B composite-gain row, a 32 B large-scale row, an
+/// 8 B evolution bookmark and an 8 B position version for a drawn one.
+/// Only the rows a run reads are drawn, but a long mobile run can read
+/// every one, so the dynamics cap assumes all are.
+const DENSE_ROW_BYTES: usize = 122;
 
 /// Resident bytes of an `aps`-AP floor with dynamics: every one of the
-/// `8·aps` clients has a row at every AP, so `8·aps²` dense rows, on top of
-/// the static floor's bytes per AP.
+/// `8·aps` clients has a row at every AP in each of the trial's two
+/// simulators, so `2·8·aps²` dense rows, on top of the static floor's
+/// bytes per AP.
 const fn dynamic_floor_bytes(aps: usize) -> usize {
-    CLIENTS_PER_AP * aps * aps * DENSE_ROW_BYTES + aps * BYTES_PER_AP
+    SIMULATORS_PER_TRIAL * CLIENTS_PER_AP * aps * aps * DENSE_ROW_BYTES + aps * BYTES_PER_AP
 }
 
 /// Largest floor an `enterprise_scaling` spec with dynamics may ask for:
-/// the largest `aps` with `8·aps²·118 B + 39,629 B·aps ≤ 2^30 B`, i.e.
-/// 1,045 APs (1,072,283,905 B; 1,046 APs would need 1,074,297,438 B).  The
+/// the largest `aps` with `2·8·aps²·122 B + 61,804 B·aps ≤ 2^30 B`, i.e.
+/// 726 APs (1,073,722,056 B; 727 APs would need 1,076,620,116 B).  The
 /// rows are quadratic in APs, so this is far below the static cap.
 const MAX_DYNAMIC_FLOOR_APS: usize = {
     let mut aps = 0;
@@ -1793,7 +1811,7 @@ mod tests {
                     "topologies": 1, "rounds": 1}}, "seed": 1}}"#
             )
         };
-        assert_eq!(MAX_FLOOR_APS, 27_094);
+        assert_eq!(MAX_FLOOR_APS, 17_373);
         JobSpec::from_json_str(&spec(MAX_FLOOR_APS)).expect("largest floor decodes");
         for aps in [MAX_FLOOR_APS + 1, 4_000_000_000] {
             match JobSpec::from_json_str(&spec(aps)) {
@@ -1820,7 +1838,7 @@ mod tests {
         for scenario in Scenario::all(64) {
             assert_eq!(scenario.grid.clients_per_ap, CLIENTS_PER_AP);
         }
-        assert_eq!(MAX_DYNAMIC_FLOOR_APS, 1_045);
+        assert_eq!(MAX_DYNAMIC_FLOOR_APS, 726);
         assert!(dynamic_floor_bytes(MAX_DYNAMIC_FLOOR_APS) <= JOB_BUDGET_BYTES);
         assert!(dynamic_floor_bytes(MAX_DYNAMIC_FLOOR_APS + 1) > JOB_BUDGET_BYTES);
         JobSpec::from_json_str(&spec(MAX_DYNAMIC_FLOOR_APS))

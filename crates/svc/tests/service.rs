@@ -143,6 +143,50 @@ fn service_run_matches_experiment_spec_run() {
 }
 
 #[test]
+fn side_by_side_simulations_leave_result_json_byte_identical() {
+    // One trial at two workers runs CAS and MIDAS side by side; at one
+    // worker, one after the other.  Static and dynamic floors alike give
+    // the same bytes either way, in process and through `run_job`.
+    let static_floor = JobSpec::new(
+        ExperimentSpec::EnterpriseScaling {
+            scenario: Scenario::enterprise_office(8),
+            topologies: 1,
+            rounds: 3,
+        },
+        4243,
+    );
+    let mut dynamic_floor = static_floor.clone();
+    dynamic_floor.dynamics = Some(DynamicsSpec::roaming_walk(1.4));
+    let jobs = scratch("lanes");
+    for (name, spec) in [("static", static_floor), ("dynamics", dynamic_floor)] {
+        let mut outputs = Vec::new();
+        for threads in [1, 2] {
+            let mut spec = spec.clone();
+            spec.threads = Some(threads);
+            let configure = |builder: SessionBuilder| {
+                let builder = builder.threads(threads);
+                match spec.dynamics {
+                    Some(dynamics) => builder.dynamics(dynamics),
+                    None => builder,
+                }
+            };
+            let in_process = spec
+                .experiment
+                .run_observed(spec.seed, configure, None)
+                .map(|output| result_bytes(&output))
+                .unwrap();
+            let dir = jobs.join(format!("{name}-{threads}"));
+            run_job(&spec, &dir, &CancelToken::default()).unwrap();
+            let served = std::fs::read_to_string(dir.join("result.json")).unwrap();
+            assert_eq!(served, in_process, "{name} at {threads} threads");
+            outputs.push(served);
+        }
+        assert_eq!(outputs[0], outputs[1], "{name}: 1 vs 2 threads");
+    }
+    std::fs::remove_dir_all(&jobs).ok();
+}
+
+#[test]
 fn second_submission_is_a_byte_identical_cache_hit() {
     let jobs = scratch("cache");
     let spec = small_end_to_end(7);
